@@ -2,7 +2,8 @@
 // worker threads: sharded perturbation, the single-column binned EM
 // reconstruction, and the per-attribute/per-class reconstruction fan-out
 // that dominates tree training. Honours PPDM_PAPER_SCALE=1 for the paper's
-// 100k-record runs, and cross-checks that every thread count produced
+// 100k-record runs and PPDM_BENCH_RECORDS=N for smoke runs, and
+// cross-checks that every thread count produced
 // byte-identical reconstruction masses (the engine's determinism contract).
 
 #include <cstdio>
@@ -36,8 +37,8 @@ bool SameMasses(const reconstruct::Reconstruction& a,
 
 int main() {
   bench::PrintBanner("P4", "parallel engine throughput scaling");
-  const core::ExperimentConfig config = bench::DefaultConfig(
-      synth::Function::kF1);
+  core::ExperimentConfig config = bench::DefaultConfig(synth::Function::kF1);
+  config.train_records = bench::BenchRecords(config.train_records);
   std::printf("records=%zu  hardware threads=%u\n\n", config.train_records,
               std::thread::hardware_concurrency());
 
@@ -91,11 +92,10 @@ int main() {
   }
 
   // ------------------------------------------- E-step SIMD path sweep
-  // Single-threaded so the rows isolate the kernel speedup (off = the
-  // pre-dispatch sequential loops, the anchor). scalar and avx2 must be
-  // byte-identical; off may differ from them by summation-order rounding.
+  // Single-threaded so the rows isolate the kernel speedup (scalar is the
+  // anchor). scalar and avx2 must be byte-identical.
   namespace simd = engine::simd;
-  std::vector<simd::Path> paths{simd::Path::kOff, simd::Path::kScalar};
+  std::vector<simd::Path> paths{simd::Path::kScalar};
   if (simd::Avx2Supported()) paths.push_back(simd::Path::kAvx2);
   const engine::Batch single({1, 16384});
   std::vector<reconstruct::Reconstruction> simd_results;
@@ -112,11 +112,10 @@ int main() {
   (void)simd::SetPath(simd::Avx2Supported() ? simd::Path::kAvx2
                                             : simd::Path::kScalar);
 
-  // --------------------------------- kernel-cache warm-refresh speedup
-  // A streaming refresh pays O(wbins·K) to rebuild the likelihood table
-  // unless the cached one still matches. Cold rebuilds every call; warm
-  // reuses one prebuilt table — the speedup is what AttributeState's
-  // cache buys a warm-started session refresh.
+  // ------------------------------ warm refresh and likelihood-table build
+  // A streaming refresh builds its compact likelihood table inside the
+  // fit. The build row times that step alone, so its share of the
+  // refresh stays visible.
   for (const auto kind :
        {perturb::NoiseKind::kUniform, perturb::NoiseKind::kGaussian}) {
     engine::ThreadPool pool(1);
@@ -131,27 +130,22 @@ int main() {
         whist.bins(), &pool, 16384);
     const std::vector<double> weights = counts.BinWeights();
     const double total = static_cast<double>(salary.size());
-    const reconstruct::KernelTable table = rec.BuildKernelTable(partition,
-                                                                &pool);
-    // Warm-start from the converged masses so both rows time a
+    // Warm-start from the converged masses so the refresh row times a
     // short refresh (the steady-state shape), not a cold convergence.
     const std::vector<double> masses =
-        rec.FitFromCounts(weights, total, partition, &pool, nullptr, &table)
-            .masses;
-    const std::string anchor = std::string("refresh-") + kind_name;
-    std::snprintf(label, sizeof(label), "refresh cold %s (rebuild)",
-                  kind_name);
-    reporter.Measure(label, salary.size(), anchor, [&] {
-      const reconstruct::Reconstruction r = rec.FitFromCounts(
-          weights, total, partition, &pool, &masses, nullptr);
+        rec.FitFromCounts(weights, total, partition, &pool).masses;
+    std::snprintf(label, sizeof(label), "refresh warm %s", kind_name);
+    reporter.Measure(label, salary.size(), "", [&] {
+      const reconstruct::Reconstruction r =
+          rec.FitFromCounts(weights, total, partition, &pool, &masses);
       (void)r;
     });
-    std::snprintf(label, sizeof(label), "refresh warm %s (cached)",
-                  kind_name);
-    reporter.Measure(label, salary.size(), anchor, [&] {
-      const reconstruct::Reconstruction r = rec.FitFromCounts(
-          weights, total, partition, &pool, &masses, &table);
-      (void)r;
+    std::snprintf(label, sizeof(label), "kernel build %s wbins=%zu",
+                  kind_name, whist.bins());
+    reporter.Measure(label, salary.size(), "", [&] {
+      const reconstruct::KernelTable table =
+          rec.BuildKernelTable(partition, &pool);
+      (void)table;
     });
   }
 
@@ -181,12 +175,10 @@ int main() {
   }
   std::printf("\nEM masses byte-identical across thread counts: %s\n",
               identical ? "yes" : "NO — DETERMINISM VIOLATION");
-  // scalar vs avx2 (entries 1..) must agree bitwise; the off row (entry 0)
-  // is excluded — its summation order legitimately differs.
   bool simd_identical = true;
-  for (std::size_t i = 2; i < simd_results.size(); ++i) {
+  for (std::size_t i = 1; i < simd_results.size(); ++i) {
     simd_identical =
-        simd_identical && SameMasses(simd_results[1], simd_results[i]);
+        simd_identical && SameMasses(simd_results[0], simd_results[i]);
   }
   std::printf("EM masses byte-identical across SIMD paths: %s\n",
               simd_identical ? "yes" : "NO — DETERMINISM VIOLATION");

@@ -14,7 +14,6 @@
 #define PPDM_API_ATTRIBUTE_STATE_H_
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "engine/shard_stats.h"
@@ -56,31 +55,6 @@ class AttributeState {
   const std::vector<double>& last_masses() const { return last_masses_; }
   void set_last_masses(std::vector<double> masses);
 
-  /// The kernel table of the last fit, or null before the first one. The
-  /// table depends only on the fixed layout, so warm-start refreshes reuse
-  /// it and skip the O(wbins·K) rebuild; reconstruct::KernelTable::Matches
-  /// is still checked before every reuse (a stale table is rebuilt, never
-  /// trusted). shared_ptr so the owning session can fit from the table
-  /// outside its lock while a concurrent caller swaps the cache.
-  /// Owner's lock required for both accessors.
-  std::shared_ptr<const reconstruct::KernelTable> kernel_cache() const {
-    return kernel_cache_;
-  }
-  void set_kernel_cache(std::shared_ptr<const reconstruct::KernelTable> t) {
-    kernel_cache_ = std::move(t);
-  }
-
-  /// Returns `cached` when it matches this attribute's layout, else builds
-  /// a fresh table. Reads only the immutable layout, so it runs outside
-  /// the owner's lock (snapshot the cache under the lock, resolve outside,
-  /// store the result back under the lock). Increments the process-wide
-  /// ppdm_kernel_cache_hits_total / ppdm_kernel_cache_builds_total
-  /// counters; the returned table's contents never depend on which branch
-  /// ran, so reconstruction bits are cache-independent.
-  std::shared_ptr<const reconstruct::KernelTable> ResolveKernelTable(
-      std::shared_ptr<const reconstruct::KernelTable> cached,
-      engine::ThreadPool* pool) const;
-
   /// Installs restored accumulation (snapshot decode / registry
   /// re-admission). Preconditions — validated by the decoding caller,
   /// which surfaces violations as Status errors: `stats` shaped
@@ -90,11 +64,9 @@ class AttributeState {
                            std::vector<double> masses);
 
   /// Approximate heap bytes behind this state (counts, layout, warm-start
-  /// masses) — excludes sizeof(AttributeState) so owners embedding the
-  /// state by value don't double-count it, and excludes the kernel cache:
-  /// the cache is rebuildable derived data (dropping it costs a rebuild,
-  /// never correctness), so counting it would shrink the registry's
-  /// admission budget for payload state. Owner's lock required.
+  /// masses) — everything it keeps between requests. Excludes
+  /// sizeof(AttributeState) so owners embedding the state by value don't
+  /// double-count it. Owner's lock required.
   std::size_t ApproxHeapBytes() const;
 
   /// Heap bytes plus the struct itself — the per-state unit a session
@@ -111,7 +83,6 @@ class AttributeState {
 
   engine::ShardStats stats_;
   std::vector<double> last_masses_;  // empty until first fit
-  std::shared_ptr<const reconstruct::KernelTable> kernel_cache_;  // may be null
 };
 
 }  // namespace ppdm::api

@@ -294,8 +294,6 @@ DatasetSession::ReconstructAll() {
   std::vector<std::vector<double>> weights(num_attrs);
   std::vector<double> totals(num_attrs);
   std::vector<std::vector<double>> warm(num_attrs);  // empty == cold
-  std::vector<std::shared_ptr<const reconstruct::KernelTable>> kernels(
-      num_attrs);
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (std::size_t a = 0; a < num_attrs; ++a) {
@@ -304,29 +302,24 @@ DatasetSession::ReconstructAll() {
       if (spec_.warm_start && states_[a].has_estimate()) {
         warm[a] = states_[a].last_masses();
       }
-      kernels[a] = states_[a].kernel_cache();
     }
   }
 
-  // One warm-started fit per attribute over the pool, each reusing its
-  // cached kernel table when the layout still matches (a refresh rebuild
-  // is the dominant fixed cost the cache removes). FitFromCounts is
+  // One warm-started fit per attribute over the pool. FitFromCounts is
   // thread-count invariant and its nested engine primitives run inline on
   // a worker, so each attribute's estimate matches a standalone session's
   // Reconstruct() byte for byte.
   std::vector<reconstruct::Reconstruction> estimates(num_attrs);
   engine::ParallelFor(pool_, num_attrs, [&](std::size_t a) {
-    kernels[a] = states_[a].ResolveKernelTable(std::move(kernels[a]), pool_);
     estimates[a] = states_[a].reconstructor().FitFromCounts(
         weights[a], totals[a], states_[a].partition(), pool_,
-        warm[a].empty() ? nullptr : &warm[a], kernels[a].get());
+        warm[a].empty() ? nullptr : &warm[a]);
   });
 
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (std::size_t a = 0; a < num_attrs; ++a) {
       states_[a].set_last_masses(estimates[a].masses);
-      states_[a].set_kernel_cache(std::move(kernels[a]));
     }
   }
   return estimates;

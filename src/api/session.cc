@@ -82,7 +82,6 @@ Result<reconstruct::Reconstruction> ReconstructionSession::Reconstruct() {
   double total_weight = 0.0;
   std::vector<double> initial;
   bool warm = false;
-  std::shared_ptr<const reconstruct::KernelTable> kernel;
   {
     std::lock_guard<std::mutex> lock(mu_);
     weights = state_.stats().BinWeights();
@@ -91,20 +90,15 @@ Result<reconstruct::Reconstruction> ReconstructionSession::Reconstruct() {
       initial = state_.last_masses();
       warm = true;
     }
-    kernel = state_.kernel_cache();
   }
 
-  // Cache hit skips the O(wbins·K) table rebuild; either way the table
-  // contents (and so the masses) are identical.
-  kernel = state_.ResolveKernelTable(std::move(kernel), pool_);
   reconstruct::Reconstruction recon = state_.reconstructor().FitFromCounts(
       weights, total_weight, state_.partition(), pool_,
-      warm ? &initial : nullptr, kernel.get());
+      warm ? &initial : nullptr);
 
   {
     std::lock_guard<std::mutex> lock(mu_);
     state_.set_last_masses(recon.masses);
-    state_.set_kernel_cache(std::move(kernel));
   }
   return recon;
 }

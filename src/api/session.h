@@ -8,7 +8,7 @@
 // perturbed value once, on arrival — and runs EM on demand. Because the
 // folded counts are integers, the accumulated statistics are identical for
 // every batching of the same records, so a session's first Reconstruct()
-// is byte-identical to the batch BayesReconstructor::FitParallel over the
+// is byte-identical to the batch BayesReconstructor::Fit over the
 // concatenated column, for every pool size. Subsequent Reconstruct() calls
 // warm-start EM from the previous estimate, which is what makes periodic
 // re-estimation cheap as the stream grows.
@@ -86,7 +86,7 @@ class ReconstructionSession {
 
   /// Runs EM over everything ingested so far and returns the estimate.
   /// The first call (or every call with warm_start off) starts from the
-  /// uniform prior and is byte-identical to FitParallel over the
+  /// uniform prior and is byte-identical to Fit over the
   /// concatenated batches; later calls warm-start from the previous
   /// estimate. An empty session yields the uniform distribution.
   Result<reconstruct::Reconstruction> Reconstruct();

@@ -317,11 +317,11 @@ const char* UsageText() {
       "\n"
       "ppdm <command> --help prints this usage and exits 0.\n"
       "\n"
-      "Every command also accepts --simd=off|scalar|avx2, pinning the EM /\n"
+      "Every command also accepts --simd=scalar|avx2, pinning the EM /\n"
       "ingest kernel dispatch (overrides the PPDM_SIMD env var; default is\n"
-      "avx2 when the build and CPU support it, else scalar). All paths are\n"
+      "avx2 when the build and CPU support it, else scalar). Both paths are\n"
       "byte-identical — the flag exists for benchmarking and for pinning a\n"
-      "known path in CI; 'off' keeps the pre-dispatch sequential loops.\n"
+      "known path in CI.\n"
       "\n"
       "serve-sim simulates the paper's server: providers submit perturbed\n"
       "records in batches of B; a DatasetSession folds each record batch\n"
@@ -1627,8 +1627,8 @@ Status RunCommand(const Args& args, std::ostream& out) {
     out << UsageText();
     return Status::Ok();
   }
-  // --simd=off|scalar|avx2 pins the kernel dispatch for this run (it
-  // overrides PPDM_SIMD). All paths are byte-identical; the flag exists
+  // --simd=scalar|avx2 pins the kernel dispatch for this run (it
+  // overrides PPDM_SIMD). Both paths are byte-identical; the flag exists
   // for benchmarking and for pinning a known path in CI.
   if (args.Has("simd")) {
     PPDM_RETURN_IF_ERROR(

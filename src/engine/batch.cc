@@ -32,8 +32,8 @@ reconstruct::Reconstruction Batch::ReconstructParallel(
     const std::vector<double>& perturbed,
     const reconstruct::Partition& partition,
     const reconstruct::BayesReconstructor& reconstructor) const {
-  return reconstructor.FitParallel(perturbed, partition, pool(),
-                                   options_.shard_size);
+  return reconstructor.Fit(perturbed, partition, pool(),
+                           options_.shard_size);
 }
 
 std::vector<reconstruct::Reconstruction> Batch::ReconstructByClassParallel(

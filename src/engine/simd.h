@@ -1,10 +1,7 @@
 // Runtime-dispatched SIMD kernels for the EM / ingest hot loops.
 //
-// Three code paths, selectable per process:
+// Two code paths, selectable per process:
 //
-//   kOff    — the pre-SIMD sequential loops (left in the callers); kept as
-//             an escape hatch that reproduces the historical accumulation
-//             order bit for bit.
 //   kScalar — lane-blocked scalar kernels: fixed-width 4-lane blocked
 //             accumulation with a deterministic reduction tree. This is
 //             the bit-exact reference the vector path is tested against.
@@ -18,7 +15,7 @@
 // Both simd.cc and simd_avx2.cc are compiled with -ffp-contract=off so the
 // compiler can never fuse a mul+add into an FMA in one path but not the
 // other. The default path is kAvx2 when the build and the CPU support it,
-// else kScalar; PPDM_SIMD=off|scalar|avx2 (env) or --simd (CLI) force one.
+// else kScalar; PPDM_SIMD=scalar|avx2 (env) or --simd (CLI) force one.
 
 #ifndef PPDM_ENGINE_SIMD_H_
 #define PPDM_ENGINE_SIMD_H_
@@ -35,7 +32,6 @@ namespace ppdm::engine::simd {
 
 /// Dispatchable code path for the blocked kernels.
 enum class Path {
-  kOff,     ///< historical sequential loops (no lane blocking)
   kScalar,  ///< lane-blocked scalar — the bit-exact reference
   kAvx2,    ///< lane-blocked AVX2 — byte-identical to kScalar
 };
@@ -49,7 +45,7 @@ inline std::size_t PadLanes(std::size_t n) {
   return (n + kLanes - 1) / kLanes * kLanes;
 }
 
-/// "off" / "scalar" / "avx2".
+/// "scalar" / "avx2".
 const char* PathName(Path path);
 
 /// True when this binary carries AVX2 code *and* the CPU executes it.
@@ -64,7 +60,8 @@ Path ActivePath();
 /// InvalidArgument when `path` is kAvx2 on a build/CPU without AVX2.
 Status SetPath(Path path);
 
-/// Parses "off"/"scalar"/"avx2" and forces that path.
+/// Parses "scalar"/"avx2" and forces that path; any other name is
+/// InvalidArgument.
 Status SetPathFromString(const std::string& name);
 
 /// Explicit PPDM_SIMD resolution with a hard error for bad values — the
@@ -76,8 +73,7 @@ Status InitFromEnv();
 // ------------------------------------------------------------ the kernels
 //
 // Every kernel takes the target `path` explicitly (resolve ActivePath()
-// once outside the hot loop). Passing kOff is a programmer error — the
-// off path keeps its historical loops in the caller.
+// once outside the hot loop).
 
 /// Lane-blocked dot product Σ a[i]·b[i] over `n` entries; `n` must be a
 /// multiple of kLanes (pad with zeros — +0.0 contributions are exact).
@@ -88,17 +84,6 @@ double Dot(const double* a, const double* b, std::size_t n, Path path);
 /// evaluate (scale·a)·b in that association.
 void ScaleAdd(double* acc, const double* a, const double* b, double scale,
               std::size_t n, Path path);
-
-/// out[i] = UniformCdf(shift − mids[i]) for noise U[−alpha, +alpha]:
-///   y ≤ −alpha → 0,  y ≥ alpha → 1,  else (y + alpha) / (2·alpha),
-/// evaluated exactly as perturb::NoiseModel::Cdf does, elementwise over
-/// `n` entries (any n — the vector path handles the tail scalarly, which
-/// is exact because the op is elementwise).
-void UniformCdfShift(const double* mids, std::size_t n, double shift,
-                     double alpha, double* out);
-
-/// out[i] = a[i] − b[i], elementwise (exact in any path).
-void Sub(const double* a, const double* b, std::size_t n, double* out);
 
 /// Equi-width clamped bin index per value, the exact integer function
 /// stats::Histogram::BinOf computes:
@@ -114,9 +99,6 @@ namespace internal {
 double DotScalar(const double* a, const double* b, std::size_t n);
 void ScaleAddScalar(double* acc, const double* a, const double* b,
                     double scale, std::size_t n);
-void UniformCdfShiftScalar(const double* mids, std::size_t n, double shift,
-                           double alpha, double* out);
-void SubScalar(const double* a, const double* b, std::size_t n, double* out);
 void BinIndicesScalar(const double* values, std::size_t n, double lo,
                       double hi, double width, std::size_t bins,
                       std::uint32_t* out);
@@ -127,9 +109,6 @@ bool Avx2Compiled();
 double DotAvx2(const double* a, const double* b, std::size_t n);
 void ScaleAddAvx2(double* acc, const double* a, const double* b,
                   double scale, std::size_t n);
-void UniformCdfShiftAvx2(const double* mids, std::size_t n, double shift,
-                         double alpha, double* out);
-void SubAvx2(const double* a, const double* b, std::size_t n, double* out);
 void BinIndicesAvx2(const double* values, std::size_t n, double lo,
                     double hi, double width, std::size_t bins,
                     std::uint32_t* out);

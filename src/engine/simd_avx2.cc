@@ -46,38 +46,6 @@ void ScaleAddAvx2(double* acc, const double* a, const double* b,
   }
 }
 
-void UniformCdfShiftAvx2(const double* mids, std::size_t n, double shift,
-                         double alpha, double* out) {
-  const __m256d vshift = _mm256_set1_pd(shift);
-  const __m256d valpha = _mm256_set1_pd(alpha);
-  const __m256d vneg_alpha = _mm256_set1_pd(-alpha);
-  const __m256d vtwo_alpha = _mm256_set1_pd(2.0 * alpha);
-  const __m256d vzero = _mm256_setzero_pd();
-  const __m256d vone = _mm256_set1_pd(1.0);
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    const __m256d y = _mm256_sub_pd(vshift, _mm256_loadu_pd(mids + i));
-    __m256d t = _mm256_div_pd(_mm256_add_pd(y, valpha), vtwo_alpha);
-    t = _mm256_blendv_pd(t, vzero, _mm256_cmp_pd(y, vneg_alpha, _CMP_LE_OQ));
-    t = _mm256_blendv_pd(t, vone, _mm256_cmp_pd(y, valpha, _CMP_GE_OQ));
-    _mm256_storeu_pd(out + i, t);
-  }
-  if (i < n) {
-    // Elementwise op: the scalar tail is exact.
-    UniformCdfShiftScalar(mids + i, n - i, shift, alpha, out + i);
-  }
-}
-
-void SubAvx2(const double* a, const double* b, std::size_t n, double* out) {
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    _mm256_storeu_pd(
-        out + i,
-        _mm256_sub_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i)));
-  }
-  for (; i < n; ++i) out[i] = a[i] - b[i];
-}
-
 void BinIndicesAvx2(const double* values, std::size_t n, double lo,
                     double hi, double width, std::size_t bins,
                     std::uint32_t* out) {
@@ -113,15 +81,6 @@ double DotAvx2(const double* a, const double* b, std::size_t n) {
 void ScaleAddAvx2(double* acc, const double* a, const double* b,
                   double scale, std::size_t n) {
   ScaleAddScalar(acc, a, b, scale, n);
-}
-
-void UniformCdfShiftAvx2(const double* mids, std::size_t n, double shift,
-                         double alpha, double* out) {
-  UniformCdfShiftScalar(mids, n, shift, alpha, out);
-}
-
-void SubAvx2(const double* a, const double* b, std::size_t n, double* out) {
-  SubScalar(a, b, n, out);
 }
 
 void BinIndicesAvx2(const double* values, std::size_t n, double lo,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 #include "common/check.h"
 #include "engine/shard_stats.h"
@@ -34,18 +35,34 @@ obs::Histogram& EmIterationsHistogram() {
   return histogram;
 }
 
-// E-step grain of the parallel binned path: w-bins per chunk. Fixed (never
-// derived from the thread count) so the partial-sum tree — and therefore
-// every output bit — is invariant under the pool size.
+// Every likelihood-table build. The name predates the removal of the
+// per-session table cache; dashboards and the benchmark read it as is.
+obs::Counter& KernelTableBuildsCounter() {
+  static obs::Counter& counter = *obs::MetricsRegistry::Global().GetCounter(
+      "ppdm_kernel_cache_builds_total");
+  return counter;
+}
+
+// E-step grain: table rows per chunk. Fixed (never derived from the thread
+// count) so the partial-sum tree — and therefore every output bit — is
+// invariant under the pool size.
 constexpr std::size_t kEmChunkBins = 32;
 
-// Row grain for embarrassingly parallel per-row work (kernel rows).
+// Row grain for embarrassingly parallel per-row work (exact-path rows).
 constexpr std::size_t kKernelChunkRows = 64;
 
 // Floor applied to warm-start masses before renormalization: EM can never
 // resurrect an exactly-zero component, so a stale zero in a previous
 // session estimate must not permanently absorb an interval.
 constexpr double kWarmStartFloor = 1e-12;
+
+// Perturbed-value bins added on each side of the partition so the noise
+// support fits: ceil(EffectiveHalfWidth / width).
+std::size_t ExtensionBins(const perturb::NoiseModel& noise,
+                          const Partition& partition) {
+  return static_cast<std::size_t>(
+      std::ceil(noise.EffectiveHalfWidth() / partition.width()));
+}
 
 std::vector<double> UniformMasses(std::size_t k) {
   return std::vector<double>(k, 1.0 / static_cast<double>(k));
@@ -68,17 +85,16 @@ Reconstruction HistogramMasses(const std::vector<double>& values,
   return out;
 }
 
-// Shared EM loop over a prebuilt likelihood table: `weights[j]` perturbed
-// observations sit in table row j. The E-step is decomposed into fixed
-// chunks of `em_chunk` observations; per-chunk partial sums are folded in
-// ascending chunk order, so for a fixed em_chunk the output is
+// Shared EM loop over a likelihood table: `weights[j]` perturbed
+// observations sit in table row j (Table::Row(j), read `stride` wide;
+// Table::Fallback(j) absorbs the row when no component reaches it). The
+// E-step is decomposed into fixed chunks of kEmChunkBins rows; per-chunk
+// partial sums are folded in ascending chunk order, so the output is
 // bit-identical regardless of `pool` (nullptr runs the identical
-// decomposition inline). em_chunk == 0 keeps everything in one chunk,
-// reproducing the sequential accumulation order exactly.
+// decomposition inline).
 //
 // The inner product and scale-accumulate run on the dispatched SIMD path
-// (engine::simd::ActivePath()): kOff preserves the historical sequential
-// accumulation bit for bit; kScalar and kAvx2 share one lane-blocked
+// (engine::simd::ActivePath()); kScalar and kAvx2 share one lane-blocked
 // decomposition and are byte-identical to each other. Mass vectors live in
 // stride-wide buffers whose padding lanes hold exact zeros, so the blocked
 // kernels never need a remainder tail (the padded products are +0.0 —
@@ -87,17 +103,15 @@ Reconstruction HistogramMasses(const std::vector<double>& values,
 // `initial` (optional) seeds the iteration in place of the uniform prior —
 // the warm-start path of streaming sessions. Floored and renormalized so no
 // component starts at exactly zero.
-Reconstruction RunEm(const std::vector<double>& weights,
-                     const KernelTable& table, double total_weight,
-                     const ReconstructionOptions& options,
-                     engine::ThreadPool* pool, std::size_t em_chunk,
+template <typename Table>
+Reconstruction RunEm(const std::vector<double>& weights, const Table& table,
+                     double total_weight, const ReconstructionOptions& options,
+                     engine::ThreadPool* pool,
                      const std::vector<double>* initial = nullptr) {
   obs::ScopedTimer fit_timer(&EmFitSecondsHistogram());
   PPDM_CHECK_EQ(weights.size(), table.wbins);
   const std::size_t num_intervals = table.intervals;
   const std::size_t stride = table.stride;
-  const std::vector<double>& kernel = table.kernel;
-  const std::vector<std::size_t>& fallback = table.fallback;
   const simd::Path path = simd::ActivePath();
 
   Reconstruction out;
@@ -118,7 +132,7 @@ Reconstruction RunEm(const std::vector<double>& weights,
   std::vector<double> next(stride, 0.0);
 
   const std::vector<engine::ChunkRange> chunks =
-      engine::MakeChunks(weights.size(), em_chunk);
+      engine::MakeChunks(weights.size(), kEmChunkBins);
   // Per-chunk accumulators in one arena, each chunk's slice rounded up to
   // a whole number of cache lines and the arena 64-byte-aligned, so pool
   // threads never write into each other's cache lines (no false sharing).
@@ -133,32 +147,18 @@ Reconstruction RunEm(const std::vector<double>& weights,
       double ll = 0.0;
       for (std::size_t j = chunks[c].begin; j < chunks[c].end; ++j) {
         if (weights[j] == 0.0) continue;
-        const double* row = &kernel[j * stride];
-        double denom;
-        if (path == simd::Path::kOff) {
-          denom = 0.0;
-          for (std::size_t k = 0; k < num_intervals; ++k) {
-            denom += row[k] * p[k];
-          }
-        } else {
-          denom = simd::Dot(row, p.data(), stride, path);
-        }
+        const double* row = table.Row(j);
+        const double denom = simd::Dot(row, p.data(), stride, path);
         if (denom <= kTinyDensity) {
           // No component reaches this observation (clamped edge bin under
           // bounded noise): attribute it wholly to the nearest interval.
-          local[fallback[j]] += weights[j];
+          local[table.Fallback(j)] += weights[j];
           ll += weights[j] * std::log(kTinyDensity);
           continue;
         }
         ll += weights[j] * std::log(denom);
-        const double scale = weights[j] / denom;
-        if (path == simd::Path::kOff) {
-          for (std::size_t k = 0; k < num_intervals; ++k) {
-            local[k] += scale * row[k] * p[k];
-          }
-        } else {
-          simd::ScaleAdd(local, row, p.data(), scale, stride, path);
-        }
+        simd::ScaleAdd(local, row, p.data(), weights[j] / denom, stride,
+                       path);
       }
       partial_ll[c] = ll;
     });
@@ -193,98 +193,23 @@ Reconstruction RunEm(const std::vector<double>& weights,
   return out;
 }
 
-// Builds the binned-EM component likelihood table (see KernelTable):
-// kernel[j*stride + k] is P(W ∈ w-bin j | X = m_k), integrated exactly
-// over the w bin via the noise CDF. Integration (rather than a midpoint
-// pdf evaluation) kills the half-bin boundary bias that bounded noise
-// would otherwise exhibit. Each row is independent and writes only its
-// own slots, so the table is identical for every pool size; uniform-noise
-// CDF rows go through the dispatched batch kernel, whose scalar and
-// vector variants compute the very operations NoiseModel::Cdf does — the
-// table contents are therefore identical on every SIMD path too.
-KernelTable BuildBinnedKernelTable(const stats::Histogram& whist,
-                                   const Partition& partition,
-                                   const perturb::NoiseModel& noise,
-                                   engine::ThreadPool* pool) {
-  KernelTable table;
-  table.wbins = whist.bins();
-  table.intervals = partition.intervals();
-  table.stride = simd::PadLanes(table.intervals);
-  table.kernel.assign(table.wbins * table.stride, 0.0);
-  table.fallback.resize(table.wbins);
-  table.noise_kind = noise.kind();
-  table.noise_scale = noise.scale();
-  table.partition_lo = partition.lo();
-  table.partition_hi = partition.hi();
-  table.whist_lo = whist.lo();
-  table.whist_hi = whist.hi();
+// Per-sample likelihood table of the exact path: row j holds
+// f_Y(w_j − m_k), padded like KernelTable so RunEm's blocked kernels apply.
+struct SampleTable {
+  std::size_t wbins = 0;
+  std::size_t intervals = 0;
+  std::size_t stride = 0;
+  std::vector<double> kernel;         // wbins × stride, padding zero
+  std::vector<std::size_t> fallback;  // interval under each sample
 
-  const std::size_t num_wbins = table.wbins;
-  const std::size_t num_intervals = table.intervals;
-  std::vector<double> mids(num_intervals);
-  for (std::size_t k = 0; k < num_intervals; ++k) mids[k] = partition.Mid(k);
-
-  // The batch CDF kernel only exists for uniform noise; Gaussian (erf) and
-  // the historical kOff path evaluate the scalar CDF per cell.
-  const bool batch_cdf = noise.kind() == perturb::NoiseKind::kUniform &&
-                         simd::ActivePath() != simd::Path::kOff;
-  const double alpha = noise.scale();
-
-  const std::vector<engine::ChunkRange> rows =
-      engine::MakeChunks(num_wbins, pool == nullptr ? 0 : kKernelChunkRows);
-  engine::ParallelFor(pool, rows.size(), [&](std::size_t c) {
-    std::vector<double> upper(num_intervals), lower(num_intervals);
-    for (std::size_t j = rows[c].begin; j < rows[c].end; ++j) {
-      const double bin_lo = whist.BinLo(j);
-      const double bin_hi = whist.BinHi(j);
-      table.fallback[j] = partition.IntervalOf(whist.BinMid(j));
-      double* row = &table.kernel[j * table.stride];
-      if (batch_cdf) {
-        // The outermost bins also absorb the clamped tails.
-        if (j + 1 == num_wbins) {
-          std::fill(upper.begin(), upper.end(), 1.0);
-        } else {
-          simd::UniformCdfShift(mids.data(), num_intervals, bin_hi, alpha,
-                                upper.data());
-        }
-        if (j == 0) {
-          std::fill(lower.begin(), lower.end(), 0.0);
-        } else {
-          simd::UniformCdfShift(mids.data(), num_intervals, bin_lo, alpha,
-                                lower.data());
-        }
-        simd::Sub(upper.data(), lower.data(), num_intervals, row);
-      } else {
-        for (std::size_t k = 0; k < num_intervals; ++k) {
-          const double mid = mids[k];
-          const double u =
-              j + 1 == num_wbins ? 1.0 : noise.Cdf(bin_hi - mid);
-          const double l = j == 0 ? 0.0 : noise.Cdf(bin_lo - mid);
-          row[k] = u - l;
-        }
-      }
-    }
-  });
-  return table;
-}
+  const double* Row(std::size_t j) const { return &kernel[j * stride]; }
+  std::size_t Fallback(std::size_t j) const { return fallback[j]; }
+};
 
 }  // namespace
 
-bool KernelTable::Matches(const perturb::NoiseModel& noise,
-                          const Partition& partition,
-                          const stats::Histogram& whist) const {
-  return noise_kind == noise.kind() && noise_scale == noise.scale() &&
-         partition_lo == partition.lo() &&
-         partition_hi == partition.hi() &&
-         intervals == partition.intervals() && whist_lo == whist.lo() &&
-         whist_hi == whist.hi() && wbins == whist.bins() &&
-         stride == engine::simd::PadLanes(intervals) &&
-         kernel.size() == wbins * stride && fallback.size() == wbins;
-}
-
 std::size_t KernelTable::ApproxHeapBytes() const {
-  return kernel.capacity() * sizeof(double) +
-         fallback.capacity() * sizeof(std::size_t);
+  return (diagonal.capacity() + edges.capacity()) * sizeof(double);
 }
 
 double Reconstruction::CdfAtEdge(std::size_t k) const {
@@ -302,7 +227,9 @@ BayesReconstructor::BayesReconstructor(perturb::NoiseModel noise,
 }
 
 Reconstruction BayesReconstructor::Fit(const std::vector<double>& perturbed,
-                                       const Partition& partition) const {
+                                       const Partition& partition,
+                                       engine::ThreadPool* pool,
+                                       std::size_t shard_size) const {
   if (noise_.kind() == perturb::NoiseKind::kNone) {
     return HistogramMasses(perturbed, partition);
   }
@@ -311,51 +238,7 @@ Reconstruction BayesReconstructor::Fit(const std::vector<double>& perturbed,
     out.masses = UniformMasses(partition.intervals());
     return out;
   }
-  // em_chunk 0 = one chunk: reproduces the sequential reference bitwise.
-  return options_.binned
-             ? FitBinned(perturbed, partition, nullptr, 0, 0)
-             : FitExact(perturbed, partition, nullptr, 0);
-}
-
-Reconstruction BayesReconstructor::FitParallel(
-    const std::vector<double>& perturbed, const Partition& partition,
-    engine::ThreadPool* pool, std::size_t shard_size) const {
-  if (noise_.kind() == perturb::NoiseKind::kNone) {
-    return HistogramMasses(perturbed, partition);
-  }
-  if (perturbed.empty()) {
-    Reconstruction out;
-    out.masses = UniformMasses(partition.intervals());
-    return out;
-  }
-  return options_.binned
-             ? FitBinned(perturbed, partition, pool, shard_size, kEmChunkBins)
-             : FitExact(perturbed, partition, pool, shard_size);
-}
-
-stats::Histogram BayesReconstructor::PerturbedBinning(
-    const Partition& partition) const {
-  // Perturbed values live on a range widened by the noise support; bin them
-  // with the same width so kernel evaluations use aligned midpoints.
-  const double width = partition.width();
-  const auto extension = static_cast<std::size_t>(
-      std::ceil(noise_.EffectiveHalfWidth() / width));
-  return stats::Histogram(
-      partition.lo() - width * static_cast<double>(extension),
-      partition.hi() + width * static_cast<double>(extension),
-      partition.intervals() + 2 * extension);
-}
-
-KernelTable BayesReconstructor::BuildKernelTable(
-    const Partition& partition, engine::ThreadPool* pool) const {
-  return BuildBinnedKernelTable(PerturbedBinning(partition), partition,
-                                noise_, pool);
-}
-
-Reconstruction BayesReconstructor::FitBinned(
-    const std::vector<double>& perturbed, const Partition& partition,
-    engine::ThreadPool* pool, std::size_t shard_size,
-    std::size_t em_chunk) const {
+  if (!options_.binned) return FitExact(perturbed, partition, pool);
   // Sharded ingestion: per-shard integer bin counts merged in shard order
   // are exactly the sequential histogram, for every pool size. The bin
   // index is computed by the dispatched batch kernel, which reproduces
@@ -365,20 +248,73 @@ Reconstruction BayesReconstructor::FitBinned(
   const engine::ShardStats ingested = engine::IngestBinnedColumn(
       perturbed.data(), perturbed.size(), whist.lo(), whist.hi(),
       whist.width(), whist.bins(), pool, shard_size);
+  return FitFromCounts(ingested.BinWeights(),
+                       static_cast<double>(perturbed.size()), partition,
+                       pool);
+}
 
-  const KernelTable table =
-      BuildBinnedKernelTable(whist, partition, noise_, pool);
-  return RunEm(ingested.BinWeights(), table,
-               static_cast<double>(perturbed.size()), options_, pool,
-               em_chunk);
+stats::Histogram BayesReconstructor::PerturbedBinning(
+    const Partition& partition) const {
+  // Perturbed values live on a range widened by the noise support; bin them
+  // with the same width so kernel evaluations use aligned midpoints.
+  const double width = partition.width();
+  const std::size_t extension = ExtensionBins(noise_, partition);
+  return stats::Histogram(
+      partition.lo() - width * static_cast<double>(extension),
+      partition.hi() + width * static_cast<double>(extension),
+      partition.intervals() + 2 * extension);
+}
+
+KernelTable BayesReconstructor::BuildKernelTable(
+    const Partition& partition, engine::ThreadPool* /*pool*/) const {
+  KernelTableBuildsCounter().Increment();
+  KernelTable table;
+  table.intervals = partition.intervals();
+  table.extension = ExtensionBins(noise_, partition);
+  table.wbins = table.intervals + 2 * table.extension;
+  table.stride = simd::PadLanes(table.intervals);
+
+  // The CDF sequence c[m] = F((m + ½)·width) for m in [−reach, reach),
+  // reach = intervals + extension: every offset the table needs.
+  const auto reach =
+      static_cast<std::ptrdiff_t>(table.intervals + table.extension);
+  std::vector<double> cdf(2 * static_cast<std::size_t>(reach));
+  const double width = partition.width();
+  for (std::ptrdiff_t m = -reach; m < reach; ++m) {
+    cdf[static_cast<std::size_t>(m + reach)] =
+        noise_.Cdf((static_cast<double>(m) + 0.5) * width);
+  }
+  const auto c = [&](std::ptrdiff_t m) {
+    return cdf[static_cast<std::size_t>(m + reach)];
+  };
+
+  // diagonal[i] sits at offset d = j − k − extension = reach − 1 − i;
+  // the entries past the last real offset are zero padding.
+  const std::size_t num_offsets = table.wbins + table.intervals - 1;
+  table.diagonal.assign(table.wbins + table.stride - 1, 0.0);
+  for (std::size_t i = 0; i < num_offsets; ++i) {
+    const std::ptrdiff_t d = reach - 1 - static_cast<std::ptrdiff_t>(i);
+    table.diagonal[i] = c(d) - c(d - 1);
+  }
+  // The outermost bins also absorb the clamped tails: row 0 integrates
+  // from −∞ (it keeps only the upper CDF of offset d = −k − extension),
+  // the last row to +∞ (it keeps 1 − the lower CDF of d = reach − 1 − k).
+  table.edges.assign(2 * table.stride, 0.0);
+  const auto ext = static_cast<std::ptrdiff_t>(table.extension);
+  for (std::size_t k = 0; k < table.intervals; ++k) {
+    const auto sk = static_cast<std::ptrdiff_t>(k);
+    table.edges[k] = c(-sk - ext);
+    table.edges[table.stride + k] = 1.0 - c(reach - 2 - sk);
+  }
+  return table;
 }
 
 Reconstruction BayesReconstructor::FitFromCounts(
     const std::vector<double>& weights, double total_weight,
     const Partition& partition, engine::ThreadPool* pool,
-    const std::vector<double>* initial, const KernelTable* kernel) const {
-  const stats::Histogram whist = PerturbedBinning(partition);
-  PPDM_CHECK_EQ(weights.size(), whist.bins());
+    const std::vector<double>* initial) const {
+  PPDM_CHECK_EQ(weights.size(),
+                partition.intervals() + 2 * ExtensionBins(noise_, partition));
   if (total_weight <= 0.0) {
     Reconstruction out;
     out.masses = UniformMasses(partition.intervals());
@@ -386,42 +322,30 @@ Reconstruction BayesReconstructor::FitFromCounts(
   }
   if (noise_.kind() == perturb::NoiseKind::kNone) {
     // No noise: the w bins are the partition intervals and the estimate is
-    // the exact histogram — the same degenerate path FitParallel takes.
+    // the exact histogram — the same degenerate path Fit takes.
     Reconstruction out;
     out.sample_count = static_cast<std::size_t>(total_weight + 0.5);
     out.masses.assign(weights.begin(), weights.end());
     for (double& m : out.masses) m /= total_weight;
     return out;
   }
-  // Reuse the caller's cached table only when it was built from exactly
-  // this layout; a stale or absent cache triggers a fresh build, whose
-  // contents are identical — the result never depends on the cache.
-  KernelTable built;
-  if (kernel == nullptr || !kernel->Matches(noise_, partition, whist)) {
-    built = BuildBinnedKernelTable(whist, partition, noise_, pool);
-    kernel = &built;
-  }
-  // kEmChunkBins matches FitParallel's decomposition, so a cold start
-  // (initial == nullptr) reproduces the batch masses bit for bit.
-  return RunEm(weights, *kernel, total_weight, options_, pool, kEmChunkBins,
-               initial);
+  return RunEm(weights, BuildKernelTable(partition, pool), total_weight,
+               options_, pool, initial);
 }
 
 Reconstruction BayesReconstructor::FitExact(
     const std::vector<double>& perturbed, const Partition& partition,
-    engine::ThreadPool* pool, std::size_t em_chunk) const {
+    engine::ThreadPool* pool) const {
   const std::size_t num_intervals = partition.intervals();
   std::vector<double> weights(perturbed.size(), 1.0);
-  // Ad-hoc per-sample table: row j holds f_Y(w_j − m_k). Same padded
-  // layout as the binned table so RunEm's blocked kernels apply.
-  KernelTable table;
+  SampleTable table;
   table.wbins = perturbed.size();
   table.intervals = num_intervals;
   table.stride = simd::PadLanes(num_intervals);
   table.kernel.assign(table.wbins * table.stride, 0.0);
   table.fallback.resize(table.wbins);
-  const std::vector<engine::ChunkRange> rows = engine::MakeChunks(
-      perturbed.size(), pool == nullptr ? 0 : kKernelChunkRows);
+  const std::vector<engine::ChunkRange> rows =
+      engine::MakeChunks(perturbed.size(), kKernelChunkRows);
   engine::ParallelFor(pool, rows.size(), [&](std::size_t c) {
     for (std::size_t j = rows[c].begin; j < rows[c].end; ++j) {
       table.fallback[j] = partition.IntervalOf(perturbed[j]);
@@ -432,7 +356,7 @@ Reconstruction BayesReconstructor::FitExact(
     }
   });
   return RunEm(weights, table, static_cast<double>(perturbed.size()),
-               options_, pool, em_chunk);
+               options_, pool);
 }
 
 }  // namespace ppdm::reconstruct

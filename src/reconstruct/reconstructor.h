@@ -11,10 +11,10 @@
 #ifndef PPDM_RECONSTRUCT_RECONSTRUCTOR_H_
 #define PPDM_RECONSTRUCT_RECONSTRUCTOR_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
-#include "engine/simd.h"
 #include "engine/thread_pool.h"
 #include "perturb/noise_model.h"
 #include "reconstruct/partition.h"
@@ -64,39 +64,44 @@ struct Reconstruction {
   double CdfAtEdge(std::size_t k) const;
 };
 
-/// Precomputed component-likelihood table of the binned EM:
-/// `kernel[j * stride + k]` holds P(W ∈ w-bin j | X = m_k), integrated
-/// exactly over the w bin via the noise CDF. Rows are padded from
-/// `intervals` to `stride` (a SIMD lane multiple) with exact zeros, so the
-/// blocked E-step kernels run without a remainder tail. `fallback[j]` is
-/// the interval absorbing bin j if every component density vanishes there.
+/// Component-likelihood table of the binned EM in compact Toeplitz form.
+/// Row j, entry k is P(W ∈ w-bin j | X = m_k), integrated exactly over
+/// the w bin via the noise CDF. The w bins share the partition's width
+/// and sit `extension` bins below its lower edge, so an interior entry
+/// depends only on the offset d = j − k − extension:
+///   T[j, k] = c[d] − c[d − 1],  with c[m] = F((m + ½) · width).
+/// The two outermost rows also absorb the clamped tails (their lower or
+/// upper CDF is 0 or 1), so they are stored beside the diagonal.
 ///
-/// The table depends only on (noise params, partition edges, w-hist
-/// edges) — the key fields below — never on the counts, the thread count,
-/// or the dispatched SIMD path, so warm-start refreshes can cache it
-/// (api::AttributeState does) and skip the O(wbins·K) rebuild.
+/// `diagonal[i]` holds the entry at offset k − j = i − (wbins − 1), so
+/// interior row j is the contiguous slice starting at wbins − 1 − j. Every
+/// row is read `stride` wide (intervals padded to a SIMD lane multiple);
+/// the padding lanes hold finite values that multiply a zero mass, so the
+/// blocked E-step kernels run without a remainder tail. The table costs
+/// O(wbins + intervals) CDF evaluations and is built inside every fit.
 struct KernelTable {
   std::size_t wbins = 0;      ///< perturbed-value bins (table rows)
   std::size_t intervals = 0;  ///< partition intervals (logical columns)
-  std::size_t stride = 0;     ///< row stride: intervals padded to a lane multiple
-  std::vector<double> kernel;          ///< wbins × stride, padding zero
-  std::vector<std::size_t> fallback;   ///< absorbing interval per row
+  std::size_t stride = 0;     ///< row width: intervals padded to a lane multiple
+  std::size_t extension = 0;  ///< w bins below the partition's lower edge
+  std::vector<double> diagonal;  ///< wbins + stride − 1 entries
+  std::vector<double> edges;     ///< first row, then last row; stride each
 
-  // Cache key — the inputs the table was built from.
-  perturb::NoiseKind noise_kind = perturb::NoiseKind::kNone;
-  double noise_scale = 0.0;
-  double partition_lo = 0.0;
-  double partition_hi = 0.0;
-  double whist_lo = 0.0;
-  double whist_hi = 0.0;
+  /// Row j, readable `stride` entries wide.
+  const double* Row(std::size_t j) const {
+    if (j == 0) return edges.data();
+    if (j + 1 == wbins) return edges.data() + stride;
+    return diagonal.data() + (wbins - 1 - j);
+  }
 
-  /// True when this table was built from exactly these layout inputs (and
-  /// its shape is internally consistent) — the staleness check cached
-  /// tables go through before reuse.
-  bool Matches(const perturb::NoiseModel& noise, const Partition& partition,
-               const stats::Histogram& whist) const;
+  /// The interval absorbing w-bin j if every component density vanishes
+  /// there: the interval under the bin, clamped to the partition.
+  std::size_t Fallback(std::size_t j) const {
+    if (j < extension) return 0;
+    return std::min(j - extension, intervals - 1);
+  }
 
-  /// Heap bytes behind the table (cache-size reporting).
+  /// Heap bytes behind the table.
   std::size_t ApproxHeapBytes() const;
 };
 
@@ -109,54 +114,49 @@ class BayesReconstructor {
   /// perturbed values w_i = x_i + y_i. With kNone noise this degenerates
   /// to the exact histogram of the samples. An empty sample yields the
   /// uniform distribution (the EM prior).
+  ///
+  /// The binned path ingests the column into PerturbedBinning(partition)
+  /// counts (sharded at `shard_size` values, 0 = one shard) and fits them
+  /// with FitFromCounts; the exact path (options().binned == false) is
+  /// the per-sample reference. The counts are integers and the E-step
+  /// runs at a fixed chunk grain folded in chunk order, so the result is
+  /// bit-identical for every pool size (nullptr runs inline), shard size
+  /// and SIMD path.
   Reconstruction Fit(const std::vector<double>& perturbed,
-                     const Partition& partition) const;
+                     const Partition& partition,
+                     engine::ThreadPool* pool = nullptr,
+                     std::size_t shard_size = 0) const;
 
-  /// Engine entry point: sharded ingestion plus a fixed-grain chunked
-  /// E-step. For a given `shard_size` the result is bit-identical for every
-  /// pool size (including pool == nullptr, which runs the same decomposition
-  /// inline) — per-chunk partial sums are folded in chunk order, so the
-  /// floating-point summation tree never depends on the thread count. The
-  /// regrouped summation makes the masses differ from Fit()'s sequential
-  /// accumulation by at most rounding noise.
-  Reconstruction FitParallel(const std::vector<double>& perturbed,
-                             const Partition& partition,
-                             engine::ThreadPool* pool,
-                             std::size_t shard_size) const;
-
-  /// The perturbed-value binning the binned engine path uses for
-  /// `partition`: the partition's grid extended on each side by
+  /// The perturbed-value binning the binned path uses for `partition`:
+  /// the partition's grid extended on each side by
   /// ceil(EffectiveHalfWidth / width) bins, so overshooting perturbed
   /// values land in aligned edge bins. Streaming ingestion bins arriving
   /// observations with exactly this layout (the counts it accumulates are
-  /// the ones FitParallel would ingest from the full column).
+  /// the ones Fit would ingest from the full column).
   stats::Histogram PerturbedBinning(const Partition& partition) const;
 
-  /// Streaming entry point: fits from pre-binned perturbed-value counts —
-  /// `weights[j]` observations fell in bin j of PerturbedBinning(partition),
+  /// Fits from pre-binned perturbed-value counts — `weights[j]`
+  /// observations fell in bin j of PerturbedBinning(partition),
   /// `total_weight` observations in all. Counts are integers, so any
   /// ingestion split (one batch, many batches, sharded) yields the same
   /// weights, and with `initial == nullptr` the result is byte-identical
-  /// to FitParallel on the equivalent raw column for every pool size.
+  /// to Fit on the equivalent raw column for every pool size.
   /// A non-null `initial` (length partition.intervals(), summing to ~1)
   /// warm-starts EM from a previous estimate instead of the uniform prior:
   /// masses are floored at a tiny positive value and renormalized so a
   /// zero in the old estimate can never absorb an interval permanently.
-  /// A non-null `kernel` skips rebuilding the O(wbins·K) likelihood table
-  /// when it matches this fit's layout (stale tables are rebuilt, never
-  /// trusted); the table's contents are identical to a fresh build, so
-  /// the result is byte-identical with or without the cache.
   Reconstruction FitFromCounts(const std::vector<double>& weights,
                                double total_weight,
                                const Partition& partition,
                                engine::ThreadPool* pool,
-                               const std::vector<double>* initial = nullptr,
-                               const KernelTable* kernel = nullptr) const;
+                               const std::vector<double>* initial =
+                                   nullptr) const;
 
-  /// Builds the binned-EM likelihood table for `partition` — what
-  /// FitFromCounts does internally when handed no cached table. Depends
-  /// only on the reconstructor's noise model and the partition layout;
-  /// deterministic for every pool size and SIMD path.
+  /// Builds the binned-EM likelihood table for `partition` — what every
+  /// binned fit does first. Depends only on the reconstructor's noise
+  /// model and the partition layout. The build is O(wbins + intervals)
+  /// and runs inline; `pool` is accepted for call-site symmetry with the
+  /// fits and never changes the table.
   KernelTable BuildKernelTable(const Partition& partition,
                                engine::ThreadPool* pool) const;
 
@@ -164,14 +164,9 @@ class BayesReconstructor {
   const ReconstructionOptions& options() const { return options_; }
 
  private:
-  Reconstruction FitBinned(const std::vector<double>& perturbed,
-                           const Partition& partition,
-                           engine::ThreadPool* pool, std::size_t shard_size,
-                           std::size_t em_chunk) const;
   Reconstruction FitExact(const std::vector<double>& perturbed,
                           const Partition& partition,
-                          engine::ThreadPool* pool,
-                          std::size_t em_chunk) const;
+                          engine::ThreadPool* pool) const;
 
   perturb::NoiseModel noise_;
   ReconstructionOptions options_;

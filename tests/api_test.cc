@@ -1,7 +1,7 @@
 // Tests for the session-oriented serving API: spec validation (invalid
 // requests come back as kInvalidArgument, never a PPDM_CHECK abort),
 // streaming ingest equivalence (Ingest in 1 batch == many batches ==
-// batch FitParallel, byte for byte, at every thread count), EM warm-start
+// batch Fit, byte for byte, at every thread count), EM warm-start
 // behaviour, and the async job service (N concurrent submissions return
 // exactly the sequential results).
 
@@ -14,9 +14,17 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#if __GLIBC_PREREQ(2, 33)
+#define PPDM_HAVE_MALLINFO2 1
+#endif
+#endif
 
 #include "api/attribute_state.h"
 #include "api/dataset_session.h"
@@ -164,7 +172,7 @@ TEST(SessionSpecValidationTest, RejectsBadSpecsWithStatusNotAbort) {
   EXPECT_EQ(bad_privacy.Validate().code(), StatusCode::kInvalidArgument);
 
   // Streaming cannot honour the per-sample exact EM path: the session
-  // would silently diverge from FitParallel, so the spec is rejected.
+  // would silently diverge from Fit, so the spec is rejected.
   SessionSpec exact_path;
   exact_path.reconstruction.binned = false;
   EXPECT_EQ(exact_path.Validate().code(), StatusCode::kInvalidArgument);
@@ -221,27 +229,8 @@ bool ReconstructionsIdentical(const reconstruct::Reconstruction& a,
          a.sample_count == b.sample_count;
 }
 
-TEST(AttributeStateTest, KernelCacheHitReusesTableMissRebuilds) {
-  const perturb::NoiseModel noise = perturb::NoiseModel::Uniform(0.25);
-  const AttributeState state(0.0, 1.0, 12, noise, {});
-  const auto built = state.ResolveKernelTable(nullptr, nullptr);
-  ASSERT_NE(built, nullptr);
-  EXPECT_TRUE(built->Matches(state.noise_model(), state.partition(),
-                             state.layout()));
-  // Matching cache: the same table comes back — the rebuild is skipped.
-  const auto hit = state.ResolveKernelTable(built, nullptr);
-  EXPECT_EQ(hit.get(), built.get());
-  // A table built for a different layout is stale: rebuilt, never reused.
-  const AttributeState other(0.0, 1.0, 24, noise, {});
-  const auto rebuilt = other.ResolveKernelTable(built, nullptr);
-  ASSERT_NE(rebuilt, nullptr);
-  EXPECT_NE(rebuilt.get(), built.get());
-  EXPECT_TRUE(rebuilt->Matches(other.noise_model(), other.partition(),
-                               other.layout()));
-}
-
 // The acceptance property: Ingest in 1 batch vs. many batches vs. batch
-// FitParallel produce identical masses, at 1, 2, and 8 threads (and with
+// Fit produce identical masses, at 1, 2, and 8 threads (and with
 // no pool at all).
 TEST(ReconstructionSessionTest, IngestEquivalenceProperty) {
   const StreamFixture fx;
@@ -253,7 +242,7 @@ TEST(ReconstructionSessionTest, IngestEquivalenceProperty) {
 
   // Batch reference: the engine's parallel fit, reference decomposition.
   const reconstruct::Reconstruction batch =
-      reconstructor.FitParallel(column, partition, nullptr, spec.shard_size);
+      reconstructor.Fit(column, partition, nullptr, spec.shard_size);
   EXPECT_GT(batch.iterations, 0u);
 
   for (std::size_t threads : {std::size_t{0}, std::size_t{1},
@@ -341,7 +330,7 @@ TEST(ReconstructionSessionTest, WarmStartRefreshConvergesFaster) {
   const reconstruct::BayesReconstructor reconstructor(
       fx.randomizer->ModelFor(synth::kSalary), spec.reconstruction);
   const reconstruct::Reconstruction cold =
-      reconstructor.FitParallel(column, partition, nullptr, spec.shard_size);
+      reconstructor.Fit(column, partition, nullptr, spec.shard_size);
 
   // The warm start begins near the answer: it must not iterate longer
   // than the cold fit, and must land on (essentially) the same estimate.
@@ -374,7 +363,7 @@ TEST(ReconstructionSessionTest, ColdModeStaysByteIdenticalAcrossRefreshes) {
   ASSERT_TRUE(second.ok());
 
   const reconstruct::Reconstruction batch =
-      reconstructor.FitParallel(column, partition, nullptr, spec.shard_size);
+      reconstructor.Fit(column, partition, nullptr, spec.shard_size);
   EXPECT_TRUE(ReconstructionsIdentical(batch, second.value()));
 }
 
@@ -563,6 +552,83 @@ TEST(DatasetSessionTest, ApproxMemoryBytesGrowsWithAttributes) {
   // state holds at least its bin-count table.
   EXPECT_GT(one_bytes, sizeof(DatasetSession));
   EXPECT_GT(four_bytes, one_bytes + 2 * 16 * sizeof(std::uint64_t));
+}
+
+#ifdef PPDM_HAVE_MALLINFO2
+/// Heap bytes glibc holds for the process: small blocks plus mmapped ones.
+std::size_t HeapInUse() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+#endif
+
+// The registry budget bounds what a session keeps between requests, so
+// ApproxMemoryBytes must account for the real heap behind a reconstructed
+// session. Sixteen churn-shaped tenants (salary and age Gaussian, hvalue
+// and loan uniform, K=100), each with 2,048 ingested rows and one
+// ReconstructAll: the heap they hold afterwards stays within kSlack of
+// their summed ApproxMemoryBytes. No pool, so every allocation is made on
+// the test thread.
+TEST(DatasetSessionTest, ApproxMemoryBytesBoundsHeapAfterReconstruct) {
+#ifdef PPDM_HAVE_MALLINFO2
+  constexpr double kSlack = 2.0;
+  constexpr std::size_t kSessions = 16;
+  constexpr std::size_t kRows = 2048;
+  DatasetSessionSpec spec;
+  spec.schema = synth::BenchmarkSchema();
+  const std::pair<std::size_t, perturb::NoiseKind> tracked[] = {
+      {synth::kSalary, perturb::NoiseKind::kGaussian},
+      {synth::kAge, perturb::NoiseKind::kGaussian},
+      {synth::kHvalue, perturb::NoiseKind::kUniform},
+      {synth::kLoan, perturb::NoiseKind::kUniform}};
+  for (const auto& [column, noise] : tracked) {
+    AttributeSpec attr;
+    attr.column = column;
+    attr.intervals = 100;
+    attr.noise = noise;
+    attr.privacy_fraction = 1.0;
+    spec.attributes.push_back(attr);
+  }
+  synth::GeneratorOptions gen;
+  gen.num_records = kRows;
+  gen.seed = 41;
+  const std::vector<double> rows = FlattenRows(synth::Generate(gen));
+  const data::RowBatch batch(rows.data(), kRows, spec.schema.NumFields());
+
+  const auto open_and_fit = [&]() -> std::unique_ptr<DatasetSession> {
+    auto session = DatasetSession::Open(spec);
+    EXPECT_TRUE(session.ok());
+    if (!session.ok()) return nullptr;
+    EXPECT_TRUE(session.value()->Ingest(batch).ok());
+    EXPECT_TRUE(session.value()->ReconstructAll().ok());
+    return std::move(session).value();
+  };
+  // One throwaway session first, so process-wide first-use allocations
+  // (metric families, trace buffers) land outside the measurement.
+  ASSERT_NE(open_and_fit(), nullptr);
+
+  const std::size_t before = HeapInUse();
+  std::vector<std::unique_ptr<DatasetSession>> sessions;
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    sessions.push_back(open_and_fit());
+    ASSERT_NE(sessions.back(), nullptr);
+  }
+  const std::size_t after = HeapInUse();
+  if (after <= before) {
+    GTEST_SKIP() << "allocator reports no heap growth (interposed malloc)";
+  }
+  std::size_t accounted = 0;
+  for (const auto& session : sessions) {
+    accounted += session->ApproxMemoryBytes();
+  }
+  const std::size_t grown = after - before;
+  EXPECT_LE(static_cast<double>(grown),
+            kSlack * static_cast<double>(accounted))
+      << "heap grew " << grown << " B for " << accounted
+      << " B of ApproxMemoryBytes";
+#else
+  GTEST_SKIP() << "needs glibc mallinfo2";
+#endif
 }
 
 // ---------------------------------------------------------------- registry
@@ -866,7 +932,7 @@ TEST(ServiceTest, ConcurrentJobsMatchSequentialExecution) {
     const reconstruct::Partition partition(field.lo, field.hi, 20);
     const reconstruct::BayesReconstructor reconstructor(
         fx.randomizer->ModelFor(col), {});
-    sequential.push_back(reconstructor.FitParallel(
+    sequential.push_back(reconstructor.Fit(
         fx.perturbed->Column(col), partition, nullptr, options.shard_size));
   }
 
@@ -879,9 +945,8 @@ TEST(ServiceTest, ConcurrentJobsMatchSequentialExecution) {
           const reconstruct::Partition partition(field.lo, field.hi, 20);
           const reconstruct::BayesReconstructor reconstructor(
               fx.randomizer->ModelFor(col), {});
-          return reconstructor.FitParallel(fx.perturbed->Column(col),
-                                           partition, nullptr,
-                                           options.shard_size);
+          return reconstructor.Fit(fx.perturbed->Column(col), partition,
+                                   nullptr, options.shard_size);
         }));
   }
   for (std::size_t j = 0; j < handles.size(); ++j) {
@@ -933,7 +998,7 @@ TEST(ServiceTest, StreamingSessionDrivenByAsyncJobs) {
   const reconstruct::BayesReconstructor reconstructor(
       fx.randomizer->ModelFor(synth::kSalary), spec.reconstruction);
   const reconstruct::Reconstruction batch =
-      reconstructor.FitParallel(column, partition, nullptr, spec.shard_size);
+      reconstructor.Fit(column, partition, nullptr, spec.shard_size);
   EXPECT_TRUE(ReconstructionsIdentical(batch, streamed.value()));
 }
 

@@ -11,6 +11,7 @@
 #include "cli/args.h"
 #include "cli/commands.h"
 #include "data/csv.h"
+#include "engine/simd.h"
 #include "synth/generator.h"
 
 namespace ppdm::cli {
@@ -120,6 +121,27 @@ TEST_F(CliFixture, UnknownCommandIsAnError) {
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("unknown command"), std::string::npos);
+}
+
+TEST_F(CliFixture, SimdFlagAcceptsOnlyScalarAndAvx2) {
+  const engine::simd::Path saved = engine::simd::ActivePath();
+  std::string output;
+  // "off" was a third dispatch path; it is now an unknown name, rejected
+  // before the command runs.
+  const std::string off_out = "--out=" + Path("simd_off.csv");
+  const Status off = Run({"generate", "--simd=off", off_out.c_str()}, &output);
+  ASSERT_FALSE(off.ok());
+  EXPECT_EQ(off.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(off.message().find("scalar|avx2"), std::string::npos);
+  const std::string scalar_out = "--out=" + Track(Path("simd_scalar.csv"));
+  EXPECT_TRUE(Run({"generate", "--simd=scalar", "--records=10",
+                   scalar_out.c_str()},
+                  &output)
+                  .ok());
+  EXPECT_EQ(engine::simd::ActivePath(), engine::simd::Path::kScalar);
+  ASSERT_TRUE(Run({"help"}, &output).ok());
+  EXPECT_NE(output.find("--simd=scalar|avx2"), std::string::npos);
+  (void)engine::simd::SetPath(saved);
 }
 
 TEST_F(CliFixture, UsageDocumentsTheNetworkCommands) {

@@ -4,10 +4,12 @@
 // yields byte-identical results for every number of worker threads.
 
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -243,11 +245,34 @@ TEST(SimdTest, PadLanesRoundsUpToLaneMultiple) {
 
 TEST(SimdTest, SetPathFromStringRejectsUnknownNames) {
   PathGuard guard;
-  EXPECT_FALSE(simd::SetPathFromString("sse9").ok());
   EXPECT_TRUE(simd::SetPathFromString("scalar").ok());
   EXPECT_EQ(simd::ActivePath(), simd::Path::kScalar);
-  EXPECT_TRUE(simd::SetPathFromString("off").ok());
-  EXPECT_EQ(simd::ActivePath(), simd::Path::kOff);
+  // "off" named a third path that no longer exists: rejected like any
+  // unknown name, and the active path is left as it was.
+  for (const char* name : {"sse9", "off", ""}) {
+    const Status s = simd::SetPathFromString(name);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << name;
+    EXPECT_NE(s.message().find("scalar|avx2"), std::string::npos) << name;
+    EXPECT_EQ(simd::ActivePath(), simd::Path::kScalar) << name;
+  }
+}
+
+TEST(SimdTest, InitFromEnvRejectsOff) {
+  PathGuard guard;
+  const char* saved = std::getenv("PPDM_SIMD");
+  const std::string saved_value = saved == nullptr ? "" : saved;
+  ASSERT_EQ(setenv("PPDM_SIMD", "off", 1), 0);
+  const Status s = simd::InitFromEnv();
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(s.message().find("scalar|avx2"), std::string::npos);
+  ASSERT_EQ(setenv("PPDM_SIMD", "scalar", 1), 0);
+  EXPECT_TRUE(simd::InitFromEnv().ok());
+  EXPECT_EQ(simd::ActivePath(), simd::Path::kScalar);
+  if (saved == nullptr) {
+    unsetenv("PPDM_SIMD");
+  } else {
+    setenv("PPDM_SIMD", saved_value.c_str(), 1);
+  }
 }
 
 TEST(SimdTest, BinIndicesMatchesHistogramBinOfOnEveryPath) {
@@ -266,7 +291,7 @@ TEST(SimdTest, BinIndicesMatchesHistogramBinOfOnEveryPath) {
                 {-0.3, 1.3, -1e18, 1e18, -0.3000000000000001,
                  1.2999999999999998, 0.0, 1.0});
 
-  std::vector<simd::Path> paths{simd::Path::kOff, simd::Path::kScalar};
+  std::vector<simd::Path> paths{simd::Path::kScalar};
   if (simd::Avx2Supported()) paths.push_back(simd::Path::kAvx2);
   for (simd::Path path : paths) {
     ASSERT_TRUE(simd::SetPath(path).ok());
@@ -314,7 +339,7 @@ TEST(SimdTest, IngestBinnedColumnEqualsFunctorIngest) {
       IngestSharded(values, nullptr, 1, bin_of, hist.bins(), nullptr, 0);
 
   ThreadPool pool(4);
-  std::vector<simd::Path> paths{simd::Path::kOff, simd::Path::kScalar};
+  std::vector<simd::Path> paths{simd::Path::kScalar};
   if (simd::Avx2Supported()) paths.push_back(simd::Path::kAvx2);
   for (simd::Path path : paths) {
     ASSERT_TRUE(simd::SetPath(path).ok());
@@ -408,10 +433,9 @@ TEST(BatchTest, ReconstructParallelIsThreadCountInvariant) {
   }
 }
 
-TEST(BatchTest, ReconstructParallelTracksSequentialFitClosely) {
-  // The chunked summation regroups floating-point adds, so the engine is
-  // not bit-equal to the sequential Fit — but it must agree to rounding
-  // noise on every mass.
+TEST(BatchTest, ReconstructParallelEqualsSequentialFit) {
+  // One decomposition serves every caller: the engine's sharded, pooled
+  // fit is byte-identical to a plain inline Fit of the same column.
   const EngineFixture fx;
   const reconstruct::Partition partition = reconstruct::Partition::ForField(
       fx.perturbed->schema().Field(synth::kAge), 20);
@@ -426,10 +450,7 @@ TEST(BatchTest, ReconstructParallelTracksSequentialFitClosely) {
   options.shard_size = 256;
   const reconstruct::Reconstruction parallel =
       Batch(options).ReconstructParallel(column, partition, reconstructor);
-  ASSERT_EQ(parallel.masses.size(), sequential.masses.size());
-  for (std::size_t k = 0; k < sequential.masses.size(); ++k) {
-    EXPECT_NEAR(parallel.masses[k], sequential.masses[k], 1e-9);
-  }
+  EXPECT_TRUE(ReconstructionsIdentical(sequential, parallel));
 }
 
 TEST(BatchTest, ReconstructParallelEmptyInputYieldsUniform) {

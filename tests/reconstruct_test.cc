@@ -359,8 +359,7 @@ bool BytesEqual(const std::vector<double>& a, const std::vector<double>& b) {
 
 // The tentpole determinism contract: every dispatched path produces
 // byte-identical Reconstruction::masses to the scalar lane-blocked
-// reference, at every pool size (0 = inline) — for both noise kinds and
-// for the streaming FitFromCounts entry point.
+// reference, at every pool size (0 = inline) — for both noise kinds.
 TEST(SimdDeterminismProperty, PathsByteIdenticalAcrossThreadCounts) {
   PathGuard guard;
   std::vector<simd::Path> paths{simd::Path::kScalar};
@@ -375,7 +374,7 @@ TEST(SimdDeterminismProperty, PathsByteIdenticalAcrossThreadCounts) {
     ASSERT_TRUE(simd::SetPath(simd::Path::kScalar).ok());
     engine::ThreadPool one(1);
     const Reconstruction reference =
-        rec.FitParallel(w, p, &one, /*shard_size=*/512);
+        rec.Fit(w, p, &one, /*shard_size=*/512);
     ASSERT_FALSE(reference.masses.empty());
 
     for (simd::Path path : paths) {
@@ -383,7 +382,7 @@ TEST(SimdDeterminismProperty, PathsByteIdenticalAcrossThreadCounts) {
       for (std::size_t threads : thread_counts) {
         engine::ThreadPool pool(threads);
         const Reconstruction got =
-            rec.FitParallel(w, p, threads == 0 ? nullptr : &pool, 512);
+            rec.Fit(w, p, threads == 0 ? nullptr : &pool, 512);
         EXPECT_TRUE(BytesEqual(got.masses, reference.masses))
             << "path=" << simd::PathName(path) << " threads=" << threads;
         EXPECT_EQ(got.log_likelihood_trace, reference.log_likelihood_trace)
@@ -393,63 +392,85 @@ TEST(SimdDeterminismProperty, PathsByteIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(SimdDeterminismProperty, OffPathStaysFiniteAndClose) {
-  // kOff preserves the historical sequential loops; its masses may differ
-  // from the blocked paths by summation-order rounding only.
-  PathGuard guard;
-  const NoiseModel noise = NoiseModel::Uniform(0.3);
-  const std::vector<double> w = PlateauPerturbed(4000, noise);
-  const Partition p(0.0, 1.0, 20);
-  const BayesReconstructor rec(noise, {});
-  ASSERT_TRUE(simd::SetPath(simd::Path::kScalar).ok());
-  const Reconstruction blocked = rec.Fit(w, p);
-  ASSERT_TRUE(simd::SetPath(simd::Path::kOff).ok());
-  const Reconstruction off = rec.Fit(w, p);
-  ASSERT_EQ(off.masses.size(), blocked.masses.size());
-  for (std::size_t k = 0; k < off.masses.size(); ++k) {
-    EXPECT_NEAR(off.masses[k], blocked.masses[k], 1e-9) << "interval " << k;
-  }
-}
-
 // --------------------------------------------------------- KernelTable
 
-TEST(KernelTableTest, CachedTableIsByteIdenticalToFreshBuild) {
-  const NoiseModel noise = NoiseModel::Uniform(0.3);
-  const Partition p(0.0, 1.0, 20);
-  const BayesReconstructor rec(noise, {});
-  const KernelTable table = rec.BuildKernelTable(p, nullptr);
-  EXPECT_TRUE(table.Matches(noise, p, rec.PerturbedBinning(p)));
-  EXPECT_EQ(table.stride, simd::PadLanes(p.intervals()));
-  EXPECT_GT(table.ApproxHeapBytes(), 0u);
-
-  std::vector<double> weights(table.wbins, 0.0);
-  weights[table.wbins / 2] = 100.0;
-  weights[table.wbins / 3] = 50.0;
-  const Reconstruction cached =
-      rec.FitFromCounts(weights, 150.0, p, nullptr, nullptr, &table);
-  const Reconstruction fresh =
-      rec.FitFromCounts(weights, 150.0, p, nullptr, nullptr, nullptr);
-  EXPECT_TRUE(BytesEqual(cached.masses, fresh.masses));
+// The direct definition of a likelihood entry: the noise CDF integrated
+// over w-bin j around interval k's midpoint, the outermost bins also
+// absorbing the tails.
+double DirectEntry(const NoiseModel& noise, const stats::Histogram& whist,
+                   const Partition& p, std::size_t j, std::size_t k) {
+  const double upper =
+      j + 1 == whist.bins() ? 1.0 : noise.Cdf(whist.BinHi(j) - p.Mid(k));
+  const double lower = j == 0 ? 0.0 : noise.Cdf(whist.BinLo(j) - p.Mid(k));
+  return upper - lower;
 }
 
-TEST(KernelTableTest, StaleTableIsRebuiltNotTrusted) {
-  const NoiseModel noise = NoiseModel::Uniform(0.3);
-  const BayesReconstructor rec(noise, {});
-  const Partition old_p(0.0, 1.0, 10);
-  const KernelTable stale = rec.BuildKernelTable(old_p, nullptr);
+// Largest |compact − direct| over every entry; also checks the table's
+// shape and that the padding lanes of every row are readable and finite.
+double MaxEntryError(const BayesReconstructor& rec, const Partition& p) {
+  const KernelTable table = rec.BuildKernelTable(p, nullptr);
+  const stats::Histogram whist = rec.PerturbedBinning(p);
+  EXPECT_EQ(table.wbins, whist.bins());
+  EXPECT_EQ(table.intervals, p.intervals());
+  EXPECT_EQ(table.stride, simd::PadLanes(p.intervals()));
+  EXPECT_LE(table.ApproxHeapBytes(),
+            (2 * table.wbins + 3 * table.stride) * sizeof(double));
+  double worst = 0.0;
+  for (std::size_t j = 0; j < table.wbins; ++j) {
+    const double* row = table.Row(j);
+    for (std::size_t k = 0; k < table.stride; ++k) {
+      if (k >= table.intervals) {
+        EXPECT_TRUE(std::isfinite(row[k])) << "padding j=" << j;
+        continue;
+      }
+      worst = std::max(
+          worst, std::abs(row[k] - DirectEntry(rec.noise(), whist, p, j, k)));
+    }
+  }
+  return worst;
+}
 
-  const Partition new_p(0.0, 1.0, 20);
-  EXPECT_FALSE(stale.Matches(noise, new_p, rec.PerturbedBinning(new_p)));
-  const std::size_t wbins = rec.PerturbedBinning(new_p).bins();
-  std::vector<double> weights(wbins, 1.0);
-  const double total = static_cast<double>(wbins);
-  // Passing the stale table must not crash or skew the fit — it is
-  // rebuilt internally and the result equals the no-cache call.
-  const Reconstruction with_stale =
-      rec.FitFromCounts(weights, total, new_p, nullptr, nullptr, &stale);
-  const Reconstruction without =
-      rec.FitFromCounts(weights, total, new_p, nullptr, nullptr, nullptr);
-  EXPECT_TRUE(BytesEqual(with_stale.masses, without.masses));
+// Every compact entry equals the direct CDF difference to 1e-14, over
+// every benchmark-schema column, both noise kinds, three privacy levels
+// and three interval counts — plus sub-partitions cut the way the tree
+// trainer's Local mode cuts them. On a grid that is exact in binary
+// (age [20, 80], K=30: width 2) both constructions evaluate the CDF at
+// identical arguments, so every entry matches bit for bit.
+TEST(KernelTableTest, CompactEntriesMatchDirectFormula) {
+  const data::Schema schema = synth::BenchmarkSchema();
+  for (std::size_t col = 0; col < schema.NumFields(); ++col) {
+    const data::FieldSpec& field = schema.Field(col);
+    for (NoiseKind kind : {NoiseKind::kUniform, NoiseKind::kGaussian}) {
+      for (double privacy : {0.25, 1.0, 2.0}) {
+        const BayesReconstructor rec(
+            perturb::NoiseForPrivacy(kind, privacy, field.hi - field.lo,
+                                     0.95),
+            {});
+        for (std::size_t intervals : {10u, 30u, 100u}) {
+          const Partition full = Partition::ForField(field, intervals);
+          EXPECT_LE(MaxEntryError(rec, full), 1e-14)
+              << field.name << " K=" << intervals << " privacy=" << privacy;
+          const std::size_t cuts[][2] = {
+              {0, intervals / 2}, {intervals / 3, intervals}, {1, 2}};
+          for (const auto& cut : cuts) {
+            const Partition sub(
+                full.lo() + full.width() * static_cast<double>(cut[0]),
+                full.lo() + full.width() * static_cast<double>(cut[1]),
+                cut[1] - cut[0]);
+            EXPECT_LE(MaxEntryError(rec, sub), 1e-14)
+                << field.name << " K=" << intervals << " sub [" << cut[0]
+                << ", " << cut[1] << ")";
+          }
+        }
+      }
+    }
+  }
+  const Partition age(20.0, 80.0, 30);
+  for (NoiseKind kind : {NoiseKind::kUniform, NoiseKind::kGaussian}) {
+    const BayesReconstructor rec(
+        perturb::NoiseForPrivacy(kind, 1.0, 60.0, 0.95), {});
+    EXPECT_EQ(MaxEntryError(rec, age), 0.0);
+  }
 }
 
 // ------------------------------------------------- degenerate-input paths
@@ -469,7 +490,7 @@ TEST(ReconstructorTest, TinyDensityFallbackAbsorbsDeadBins) {
   std::vector<double> weights(whist.bins(), 0.0);
   weights[0] = 5.0;  // dead bin: no component density reaches it
   const Reconstruction r =
-      rec.FitFromCounts(weights, 5.0, p, nullptr, nullptr, nullptr);
+      rec.FitFromCounts(weights, 5.0, p, nullptr, nullptr);
   ASSERT_EQ(r.masses.size(), 10u);
   double total = 0.0;
   for (double m : r.masses) {
