@@ -1,10 +1,10 @@
 // P6 — dataset-level sessions: single-pass record ingest vs. N
-// per-attribute ingest passes over the same arriving batches (the
+// one-attribute sessions each ingesting the same arriving batches (the
 // motivating cost of an attribute-shaped serving layer), ReconstructAll
 // latency as the attribute count grows, and a cross-check that the
-// dataset path's estimates are byte-identical to N independent
-// per-attribute sessions (the equivalence contract). Honours
-// PPDM_PAPER_SCALE=1 and PPDM_BENCH_RECORDS=N (CI smoke).
+// dataset path's estimates are byte-identical to the batch Fit over each
+// column (the equivalence contract). Honours PPDM_PAPER_SCALE=1 and
+// PPDM_BENCH_RECORDS=N (CI smoke).
 
 #include <algorithm>
 #include <cstdio>
@@ -16,10 +16,11 @@
 
 #include "api/dataset_session.h"
 #include "api/service.h"
-#include "api/session.h"
 #include "bench/bench_util.h"
 #include "data/row_batch.h"
 #include "perturb/randomizer.h"
+#include "reconstruct/partition.h"
+#include "reconstruct/reconstructor.h"
 #include "synth/generator.h"
 
 namespace {
@@ -59,8 +60,8 @@ int main() {
               std::thread::hardware_concurrency());
 
   // Perturbed records, flattened row-major — the provider arrival shape.
-  // (Not bench::PerturbedRowMajor: the per-attribute reference path below
-  // also needs the column-major Dataset.)
+  // (Not bench::PerturbedRowMajor: the batch-fit reference below also
+  // needs the column-major Dataset.)
   synth::GeneratorOptions gen;
   gen.num_records = records;
   gen.function = config.function;
@@ -72,15 +73,8 @@ int main() {
   noise.seed = config.seed + 0x9E1517BULL;
   const perturb::Randomizer randomizer(train.schema(), noise);
   const data::Dataset perturbed = randomizer.Perturb(train);
-  const std::size_t cols = perturbed.NumCols();
-  std::vector<double> rows(records * cols);
-  for (std::size_t c = 0; c < cols; ++c) {
-    const std::vector<double>& column = perturbed.Column(c);
-    for (std::size_t r = 0; r < records; ++r) {
-      rows[r * cols + c] = column[r];
-    }
-  }
-  const data::RowBatch all_rows(rows.data(), records, cols);
+  const std::vector<double> rows = bench::RowMajor(perturbed);
+  const data::RowBatch all_rows(rows.data(), records, perturbed.NumCols());
 
   engine::BatchOptions options;
   options.num_threads = 4;
@@ -91,8 +85,8 @@ int main() {
   // ------------------------------------- single-pass vs. N-pass ingest
   // Record batches of kBatchRecords arrive row-major. The dataset session
   // folds each batch into all A attributes in one pass; the per-attribute
-  // alternative must scatter each batch into A column buffers and run A
-  // independent ingests — N passes over every arriving batch.
+  // alternative runs A one-attribute sessions, each ingesting every
+  // arriving batch — N passes over every batch.
   bench::ThroughputReporter reporter("records");
   char label[64];
   double dataset_seconds_4 = 0.0;
@@ -102,9 +96,8 @@ int main() {
     const std::string baseline = label;
     const double dataset_seconds =
         reporter.Measure(label, records, baseline, [&] {
-          auto session =
-              service.value()->OpenDatasetSession(SpecFor(train.schema(),
-                                                          attrs));
+          auto session = api::DatasetSession::Open(
+              SpecFor(train.schema(), attrs), service.value()->pool());
           for (std::size_t offset = 0; offset < records;
                offset += kBatchRecords) {
             const std::size_t take =
@@ -118,26 +111,22 @@ int main() {
                   attrs);
     const double per_attr_seconds =
         reporter.Measure(label, records, baseline, [&] {
-          std::vector<std::unique_ptr<api::ReconstructionSession>> sessions;
+          std::vector<std::unique_ptr<api::DatasetSession>> sessions;
           const api::DatasetSessionSpec spec = SpecFor(train.schema(), attrs);
           for (std::size_t a = 0; a < attrs; ++a) {
+            api::DatasetSessionSpec solo = spec;
+            solo.attributes = {spec.attributes[a]};
             auto session =
-                service.value()->OpenSession(spec.AttributeSession(a));
+                api::DatasetSession::Open(solo, service.value()->pool());
             if (!session.ok()) std::abort();
             sessions.push_back(std::move(session.value()));
           }
-          std::vector<double> column(kBatchRecords);
           for (std::size_t offset = 0; offset < records;
                offset += kBatchRecords) {
-            const std::size_t take =
-                std::min(kBatchRecords, records - offset);
+            const data::RowBatch batch = all_rows.Slice(
+                offset, std::min(kBatchRecords, records - offset));
             for (std::size_t a = 0; a < attrs; ++a) {
-              for (std::size_t r = 0; r < take; ++r) {
-                column[r] = rows[(offset + r) * cols + a];
-              }
-              if (!sessions[a]->Ingest(column.data(), take).ok()) {
-                std::abort();
-              }
+              if (!sessions[a]->Ingest(batch).ok()) std::abort();
             }
           }
         });
@@ -152,8 +141,8 @@ int main() {
   // ReconstructAll() as the tracked attribute count grows.
   for (std::size_t attrs :
        {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-    auto session =
-        service.value()->OpenDatasetSession(SpecFor(train.schema(), attrs));
+    auto session = api::DatasetSession::Open(SpecFor(train.schema(), attrs),
+                                             service.value()->pool());
     if (!session.ok() || !session.value()->Ingest(all_rows).ok()) return 1;
     if (!session.value()->ReconstructAll().ok()) return 1;  // prime warm
     std::snprintf(label, sizeof(label), "ReconstructAll warm A=%zu", attrs);
@@ -163,10 +152,20 @@ int main() {
   }
 
   // ------------------------------------------------ equivalence check
-  // Dataset-path estimates == N independent per-attribute sessions, byte
-  // for byte, with and without a pool.
+  // Dataset-path first (cold) estimates == the batch Fit over each raw
+  // column, byte for byte, with and without a pool.
   const std::size_t check_attrs = 4;
   const api::DatasetSessionSpec spec = SpecFor(train.schema(), check_attrs);
+  std::vector<reconstruct::Reconstruction> batch_fits;
+  for (std::size_t a = 0; a < check_attrs; ++a) {
+    const reconstruct::BayesReconstructor reconstructor(
+        randomizer.ModelFor(a), spec.attributes[a].reconstruction);
+    batch_fits.push_back(reconstructor.Fit(
+        perturbed.Column(a),
+        reconstruct::Partition::ForField(train.schema().Field(a),
+                                         kIntervals),
+        nullptr, kShardSize));
+  }
   bool identical = true;
   for (std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
     engine::BatchOptions check_options;
@@ -174,7 +173,7 @@ int main() {
     check_options.shard_size = kShardSize;
     auto check_service = api::Service::Create(check_options);
     auto dataset_session =
-        check_service.value()->OpenDatasetSession(spec);
+        api::DatasetSession::Open(spec, check_service.value()->pool());
     for (std::size_t offset = 0; offset < records;
          offset += kBatchRecords) {
       const std::size_t take = std::min(kBatchRecords, records - offset);
@@ -186,23 +185,16 @@ int main() {
     const auto estimates = dataset_session.value()->ReconstructAll();
     if (!estimates.ok()) return 1;
     for (std::size_t a = 0; a < check_attrs; ++a) {
-      auto session =
-          check_service.value()->OpenSession(spec.AttributeSession(a));
-      if (!session.value()->Ingest(perturbed.Column(a)).ok()) return 1;
-      const auto independent = session.value()->Reconstruct();
-      if (!independent.ok()) return 1;
+      const reconstruct::Reconstruction& batch = batch_fits[a];
       identical =
           identical &&
-          independent.value().masses.size() ==
-              estimates.value()[a].masses.size() &&
-          std::memcmp(independent.value().masses.data(),
-                      estimates.value()[a].masses.data(),
-                      independent.value().masses.size() * sizeof(double)) ==
-              0;
+          batch.masses.size() == estimates.value()[a].masses.size() &&
+          std::memcmp(batch.masses.data(), estimates.value()[a].masses.data(),
+                      batch.masses.size() * sizeof(double)) == 0;
     }
   }
-  std::printf("\ndataset-path masses byte-identical to per-attribute "
-              "sessions: %s\n",
+  std::printf("\ndataset-path masses byte-identical to batch fit per "
+              "column: %s\n",
               identical ? "yes" : "NO — EQUIVALENCE VIOLATION");
   if (dataset_seconds_4 > 0.0 && per_attr_seconds_4 > 0.0) {
     std::printf("single-pass vs 4-pass ingest at A=4: %.2fx\n",

@@ -11,9 +11,10 @@
 #include <thread>
 #include <vector>
 
+#include "api/dataset_session.h"
 #include "api/service.h"
-#include "api/session.h"
 #include "bench/bench_util.h"
+#include "data/row_batch.h"
 #include "engine/batch.h"
 #include "perturb/randomizer.h"
 #include "reconstruct/reconstructor.h"
@@ -26,15 +27,17 @@ using namespace ppdm;
 constexpr std::size_t kIntervals = 100;
 constexpr std::size_t kBatchRecords = 2048;
 
-api::SessionSpec SalarySpec(const data::Schema& schema,
-                            std::size_t shard_size) {
-  const data::FieldSpec& field = schema.Field(synth::kSalary);
-  api::SessionSpec spec;
-  spec.lo = field.lo;
-  spec.hi = field.hi;
-  spec.intervals = kIntervals;
-  spec.noise = perturb::NoiseKind::kUniform;
-  spec.privacy_fraction = 1.0;
+/// A one-attribute session over the salary column of full-width records.
+api::DatasetSessionSpec SalarySpec(const data::Schema& schema,
+                                   std::size_t shard_size) {
+  api::DatasetSessionSpec spec;
+  spec.schema = schema;
+  api::AttributeSpec attr;
+  attr.column = synth::kSalary;
+  attr.intervals = kIntervals;
+  attr.noise = perturb::NoiseKind::kUniform;
+  attr.privacy_fraction = 1.0;
+  spec.attributes.push_back(attr);
   spec.shard_size = shard_size;
   return spec;
 }
@@ -63,6 +66,10 @@ int main() {
   const perturb::Randomizer randomizer(train.schema(), noise);
   const data::Dataset perturbed = randomizer.Perturb(train);
   const std::vector<double>& stream = perturbed.Column(synth::kSalary);
+  // The same records row-major, as providers submit them.
+  const std::vector<double> rows = bench::RowMajor(perturbed);
+  const data::RowBatch all_rows(rows.data(), perturbed.NumRows(),
+                                perturbed.NumCols());
 
   const reconstruct::Partition partition = reconstruct::Partition::ForField(
       train.schema().Field(synth::kSalary), kIntervals);
@@ -75,7 +82,7 @@ int main() {
 
   // -------------------------------------------------- ingest throughput
   // Fold-on-arrival cost alone: batches of kBatchRecords through
-  // Session::Ingest, no reconstruction.
+  // DatasetSession::Ingest, no reconstruction.
   for (std::size_t threads : thread_counts) {
     engine::BatchOptions options;
     options.num_threads = threads;
@@ -84,13 +91,13 @@ int main() {
     std::snprintf(label, sizeof(label), "ingest b=%zu t=%zu", kBatchRecords,
                   threads);
     reporter.Measure(label, stream.size(), "ingest", [&] {
-      auto session =
-          service.value()->OpenSession(SalarySpec(train.schema(), 512));
+      auto session = api::DatasetSession::Open(
+          SalarySpec(train.schema(), 512), service.value()->pool());
       for (std::size_t offset = 0; offset < stream.size();
            offset += kBatchRecords) {
         const std::size_t take =
             std::min(kBatchRecords, stream.size() - offset);
-        if (!session.value()->Ingest(stream.data() + offset, take).ok()) {
+        if (!session.value()->Ingest(all_rows.Slice(offset, take)).ok()) {
           std::abort();
         }
       }
@@ -106,31 +113,30 @@ int main() {
     (void)r;
   });
   reporter.Measure("first estimate: stream 1 batch", kBatchRecords, "", [&] {
-    auto session = api::ReconstructionSession::Open(
-        SalarySpec(train.schema(), 512));
-    if (!session.value()->Ingest(stream.data(), kBatchRecords).ok()) {
+    auto session = api::DatasetSession::Open(SalarySpec(train.schema(), 512));
+    if (!session.value()->Ingest(all_rows.Slice(0, kBatchRecords)).ok()) {
       std::abort();
     }
-    const auto r = session.value()->Reconstruct();
+    const auto r = session.value()->ReconstructAll();
     (void)r;
   });
 
   // ---------------------------------------- refresh: warm vs. cold fit
   // The steady-state serving cost: all records ingested, one more
-  // Reconstruct(). Warm-started EM restarts from the previous estimate.
+  // ReconstructAll(). Warm-started EM restarts from the previous estimate.
   auto warm_session =
-      api::ReconstructionSession::Open(SalarySpec(train.schema(), 512));
-  if (!warm_session.ok() || !warm_session.value()->Ingest(stream).ok()) {
+      api::DatasetSession::Open(SalarySpec(train.schema(), 512));
+  if (!warm_session.ok() || !warm_session.value()->Ingest(all_rows).ok()) {
     return 1;
   }
-  (void)warm_session.value()->Reconstruct();  // prime the estimate
+  (void)warm_session.value()->ReconstructAll();  // prime the estimate
   reporter.Measure("refresh: cold batch fit", stream.size(), "refresh", [&] {
     const reconstruct::Reconstruction r =
         reconstructor.Fit(stream, partition, nullptr, 512);
     (void)r;
   });
   reporter.Measure("refresh: warm-started", stream.size(), "refresh", [&] {
-    const auto r = warm_session.value()->Reconstruct();
+    const auto r = warm_session.value()->ReconstructAll();
     (void)r;
   });
 
@@ -144,20 +150,21 @@ int main() {
     engine::BatchOptions options;
     options.num_threads = threads;
     auto service = api::Service::Create(options);
-    auto session =
-        service.value()->OpenSession(SalarySpec(train.schema(), 512));
+    auto session = api::DatasetSession::Open(SalarySpec(train.schema(), 512),
+                                             service.value()->pool());
     for (std::size_t offset = 0; offset < stream.size();
          offset += kBatchRecords) {
       const std::size_t take = std::min(kBatchRecords,
                                         stream.size() - offset);
-      if (!session.value()->Ingest(stream.data() + offset, take).ok()) {
+      if (!session.value()->Ingest(all_rows.Slice(offset, take)).ok()) {
         return 1;
       }
     }
-    const auto streamed = session.value()->Reconstruct();
+    const auto streamed = session.value()->ReconstructAll();
     identical = identical && streamed.ok() &&
-                streamed.value().masses.size() == batch_fit.masses.size() &&
-                std::memcmp(streamed.value().masses.data(),
+                streamed.value()[0].masses.size() ==
+                    batch_fit.masses.size() &&
+                std::memcmp(streamed.value()[0].masses.data(),
                             batch_fit.masses.data(),
                             batch_fit.masses.size() * sizeof(double)) == 0;
   }

@@ -45,6 +45,19 @@ inline std::size_t BenchRecords(std::size_t default_records) {
   return default_records;
 }
 
+/// `dataset`'s values flattened row-major (labels dropped) — the provider
+/// arrival shape the streaming benches feed to sessions.
+inline std::vector<double> RowMajor(const data::Dataset& dataset) {
+  std::vector<double> rows(dataset.NumRows() * dataset.NumCols());
+  for (std::size_t c = 0; c < dataset.NumCols(); ++c) {
+    const std::vector<double>& column = dataset.Column(c);
+    for (std::size_t r = 0; r < dataset.NumRows(); ++r) {
+      rows[r * dataset.NumCols() + c] = column[r];
+    }
+  }
+  return rows;
+}
+
 /// Perturbed benchmark records flattened row-major — the provider
 /// arrival shape the streaming benches feed to sessions. Generates
 /// `records` rows of `function` from `seed`, perturbs every column with
@@ -68,14 +81,7 @@ inline std::vector<double> PerturbedRowMajor(std::size_t records,
   const data::Dataset perturbed =
       perturb::Randomizer(original.schema(), noise).Perturb(original);
   *num_cols = perturbed.NumCols();
-  std::vector<double> rows(perturbed.NumRows() * perturbed.NumCols());
-  for (std::size_t c = 0; c < perturbed.NumCols(); ++c) {
-    const std::vector<double>& column = perturbed.Column(c);
-    for (std::size_t r = 0; r < perturbed.NumRows(); ++r) {
-      rows[r * perturbed.NumCols() + c] = column[r];
-    }
-  }
-  return rows;
+  return RowMajor(perturbed);
 }
 
 /// All five benchmark functions.

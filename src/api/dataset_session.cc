@@ -54,6 +54,27 @@ obs::Counter& IngestRejectedCounter() {
   return counter;
 }
 
+// One attribute's slice of DatasetSessionSpec::Validate: its domain over
+// the schema field, its noise and its EM tuning.
+Status ValidateAttribute(const data::FieldSpec& field,
+                         const AttributeSpec& attr) {
+  PPDM_RETURN_IF_ERROR(ValidateDomain(field.lo, field.hi, attr.intervals));
+  perturb::RandomizerOptions as_noise;
+  as_noise.kind = attr.noise;
+  as_noise.privacy_fraction = attr.privacy_fraction;
+  as_noise.confidence = attr.confidence;
+  PPDM_RETURN_IF_ERROR(ValidateNoise(as_noise));
+  if (!attr.reconstruction.binned) {
+    // Streaming folds binned counts on arrival; the per-sample FitExact
+    // path needs every raw observation and cannot be honoured here. Reject
+    // rather than silently diverge from the batch result.
+    return Status::InvalidArgument(
+        "streaming sessions require reconstruction.binned (the per-sample "
+        "exact path needs the full column)");
+  }
+  return ValidateReconstruction(attr.reconstruction);
+}
+
 }  // namespace
 
 Status DatasetSessionSpec::Validate() const {
@@ -77,47 +98,45 @@ Status DatasetSessionSpec::Validate() const {
           attr.column));
     }
     seen[attr.column] = true;
-    const Status s = AttributeSession(a).Validate();
+    const data::FieldSpec& field = schema.Field(attr.column);
+    const Status s = ValidateAttribute(field, attr);
     if (!s.ok()) {
       return Status::InvalidArgument(
-          StrFormat("attribute %zu ('%s'): %s", a,
-                    schema.Field(attr.column).name.c_str(),
+          StrFormat("attribute %zu ('%s'): %s", a, field.name.c_str(),
                     s.message().c_str()));
     }
   }
   return Status::Ok();
 }
 
-SessionSpec DatasetSessionSpec::AttributeSession(std::size_t index) const {
-  const AttributeSpec& attr = attributes[index];
-  const data::FieldSpec& field = schema.Field(attr.column);
-  SessionSpec spec;
-  spec.lo = field.lo;
-  spec.hi = field.hi;
-  spec.intervals = attr.intervals;
-  spec.noise = attr.noise;
-  spec.privacy_fraction = attr.privacy_fraction;
-  spec.confidence = attr.confidence;
-  spec.reconstruction = attr.reconstruction;
-  spec.shard_size = shard_size;
-  spec.warm_start = warm_start;
-  return spec;
+DatasetSession::Attribute::Attribute(
+    double lo, double hi, std::size_t intervals, perturb::NoiseModel model,
+    const reconstruct::ReconstructionOptions& options)
+    : partition(lo, hi, intervals),
+      reconstructor(std::move(model), options),
+      layout(reconstructor.PerturbedBinning(partition)),
+      stats(layout.bins(), /*num_classes=*/1) {}
+
+std::size_t DatasetSession::Attribute::ApproxMemoryBytes() const {
+  return sizeof(*this) + stats.ApproxHeapBytes() +
+         layout.bins() * sizeof(std::size_t) +  // histogram counts
+         last_masses.capacity() * sizeof(double);
 }
 
 DatasetSession::DatasetSession(const DatasetSessionSpec& spec,
                                engine::ThreadPool* pool)
     : spec_(spec), pool_(pool) {
-  states_.reserve(spec_.attributes.size());
+  attrs_.reserve(spec_.attributes.size());
   columns_.reserve(spec_.attributes.size());
-  for (std::size_t a = 0; a < spec_.attributes.size(); ++a) {
-    const SessionSpec attr = spec_.AttributeSession(a);
-    states_.emplace_back(attr.lo, attr.hi, attr.intervals,
-                         perturb::NoiseForPrivacy(attr.noise,
-                                                  attr.privacy_fraction,
-                                                  attr.hi - attr.lo,
-                                                  attr.confidence),
-                         attr.reconstruction);
-    columns_.push_back(spec_.attributes[a].column);
+  for (const AttributeSpec& attr : spec_.attributes) {
+    const data::FieldSpec& field = spec_.schema.Field(attr.column);
+    attrs_.emplace_back(field.lo, field.hi, attr.intervals,
+                        perturb::NoiseForPrivacy(attr.noise,
+                                                 attr.privacy_fraction,
+                                                 field.hi - field.lo,
+                                                 attr.confidence),
+                        attr.reconstruction);
+    columns_.push_back(attr.column);
   }
 }
 
@@ -133,7 +152,7 @@ Result<std::unique_ptr<DatasetSession>> DatasetSession::Restore(
   PPDM_RETURN_IF_ERROR(spec.Validate());
   std::unique_ptr<DatasetSession> session(new DatasetSession(spec, pool));
 
-  const std::size_t num_attrs = session->states_.size();
+  const std::size_t num_attrs = session->attrs_.size();
   if (state.stats.size() != num_attrs ||
       state.last_masses.size() != num_attrs) {
     return Status::InvalidArgument(StrFormat(
@@ -141,14 +160,14 @@ Result<std::unique_ptr<DatasetSession>> DatasetSession::Restore(
         state.stats.size(), state.last_masses.size(), num_attrs));
   }
   for (std::size_t a = 0; a < num_attrs; ++a) {
-    const AttributeState& derived = session->states_[a];
+    const Attribute& derived = session->attrs_[a];
     const engine::ShardStats& stats = state.stats[a];
-    if (stats.num_bins() != derived.num_bins() ||
+    if (stats.num_bins() != derived.layout.bins() ||
         stats.num_classes() != 1) {
       return Status::InvalidArgument(StrFormat(
           "attribute %zu: snapshot counts are %zu bins x %zu classes; the "
           "spec derives %zu bins x 1",
-          a, stats.num_bins(), stats.num_classes(), derived.num_bins()));
+          a, stats.num_bins(), stats.num_classes(), derived.layout.bins()));
     }
     if (stats.record_count() != state.rows) {
       return Status::InvalidArgument(StrFormat(
@@ -158,11 +177,11 @@ Result<std::unique_ptr<DatasetSession>> DatasetSession::Restore(
     }
     const std::vector<double>& masses = state.last_masses[a];
     if (!masses.empty() &&
-        masses.size() != derived.partition().intervals()) {
+        masses.size() != derived.partition.intervals()) {
       return Status::InvalidArgument(StrFormat(
           "attribute %zu: %zu warm-start masses for a %zu-interval "
           "partition",
-          a, masses.size(), derived.partition().intervals()));
+          a, masses.size(), derived.partition.intervals()));
     }
     for (double m : masses) {
       if (!std::isfinite(m) || m < 0.0) {
@@ -174,8 +193,8 @@ Result<std::unique_ptr<DatasetSession>> DatasetSession::Restore(
 
   // Shapes agree; install. No lock needed — the session has not escaped.
   for (std::size_t a = 0; a < num_attrs; ++a) {
-    session->states_[a].RestoreAccumulation(std::move(state.stats[a]),
-                                            std::move(state.last_masses[a]));
+    session->attrs_[a].stats = std::move(state.stats[a]);
+    session->attrs_[a].last_masses = std::move(state.last_masses[a]);
   }
   session->rows_ = state.rows;
   session->batches_ = state.batches;
@@ -187,11 +206,11 @@ DatasetSessionState DatasetSession::ExportState() const {
   DatasetSessionState state;
   state.rows = rows_;
   state.batches = batches_;
-  state.stats.reserve(states_.size());
-  state.last_masses.reserve(states_.size());
-  for (const AttributeState& attr : states_) {
-    state.stats.push_back(attr.stats());
-    state.last_masses.push_back(attr.last_masses());
+  state.stats.reserve(attrs_.size());
+  state.last_masses.reserve(attrs_.size());
+  for (const Attribute& attr : attrs_) {
+    state.stats.push_back(attr.stats);
+    state.last_masses.push_back(attr.last_masses);
   }
   return state;
 }
@@ -211,14 +230,14 @@ Status DatasetSession::Ingest(const data::RowBatch& rows) {
   // shard_size, and the per-attribute merge below runs in ascending shard
   // order, so the folded counts are byte-identical to N independent
   // per-attribute ingests of the same columns, for every pool size.
-  const std::size_t num_attrs = states_.size();
+  const std::size_t num_attrs = attrs_.size();
   const std::vector<engine::ChunkRange> shards =
       engine::MakeChunks(rows.num_rows(), spec_.shard_size);
   std::vector<std::vector<engine::ShardStats>> partials(shards.size());
   for (std::vector<engine::ShardStats>& shard : partials) {
     shard.reserve(num_attrs);
     for (std::size_t a = 0; a < num_attrs; ++a) {
-      shard.emplace_back(states_[a].num_bins(), /*num_classes=*/1);
+      shard.emplace_back(attrs_[a].layout.bins(), /*num_classes=*/1);
     }
   }
   std::atomic<bool> finite{true};
@@ -246,7 +265,7 @@ Status DatasetSession::Ingest(const data::RowBatch& rows) {
     double vals[kBatch];
     std::uint32_t idx[kBatch];
     for (std::size_t a = 0; a < num_attrs; ++a) {
-      const stats::Histogram& layout = states_[a].layout();
+      const stats::Histogram& layout = attrs_[a].layout;
       const std::size_t col = columns_[a];
       for (std::size_t r0 = begin; r0 < end; r0 += kBatch) {
         const std::size_t n = std::min(kBatch, end - r0);
@@ -272,7 +291,7 @@ Status DatasetSession::Ingest(const data::RowBatch& rows) {
     std::lock_guard<std::mutex> lock(mu_);
     for (const std::vector<engine::ShardStats>& shard : partials) {
       for (std::size_t a = 0; a < num_attrs; ++a) {
-        states_[a].stats().MergeFrom(shard[a]);
+        attrs_[a].stats.MergeFrom(shard[a]);
       }
     }
     rows_ += rows.num_rows();
@@ -290,36 +309,36 @@ DatasetSession::ReconstructAll() {
   // Snapshot every attribute's counts (and warm-start masses) under the
   // lock; run the EM fan-out outside it so ingestion continues while the
   // estimates refresh.
-  const std::size_t num_attrs = states_.size();
+  const std::size_t num_attrs = attrs_.size();
   std::vector<std::vector<double>> weights(num_attrs);
   std::vector<double> totals(num_attrs);
   std::vector<std::vector<double>> warm(num_attrs);  // empty == cold
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (std::size_t a = 0; a < num_attrs; ++a) {
-      weights[a] = states_[a].stats().BinWeights();
-      totals[a] = static_cast<double>(states_[a].stats().record_count());
-      if (spec_.warm_start && states_[a].has_estimate()) {
-        warm[a] = states_[a].last_masses();
+      weights[a] = attrs_[a].stats.BinWeights();
+      totals[a] = static_cast<double>(attrs_[a].stats.record_count());
+      if (spec_.warm_start && !attrs_[a].last_masses.empty()) {
+        warm[a] = attrs_[a].last_masses;
       }
     }
   }
 
   // One warm-started fit per attribute over the pool. FitFromCounts is
   // thread-count invariant and its nested engine primitives run inline on
-  // a worker, so each attribute's estimate matches a standalone session's
-  // Reconstruct() byte for byte.
+  // a worker, so each attribute's estimate matches a one-attribute
+  // session's ReconstructAll() byte for byte.
   std::vector<reconstruct::Reconstruction> estimates(num_attrs);
   engine::ParallelFor(pool_, num_attrs, [&](std::size_t a) {
-    estimates[a] = states_[a].reconstructor().FitFromCounts(
-        weights[a], totals[a], states_[a].partition(), pool_,
+    estimates[a] = attrs_[a].reconstructor.FitFromCounts(
+        weights[a], totals[a], attrs_[a].partition, pool_,
         warm[a].empty() ? nullptr : &warm[a]);
   });
 
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (std::size_t a = 0; a < num_attrs; ++a) {
-      states_[a].set_last_masses(estimates[a].masses);
+      attrs_[a].last_masses = estimates[a].masses;
     }
   }
   return estimates;
@@ -339,8 +358,8 @@ std::size_t DatasetSession::ApproxMemoryBytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::size_t bytes = sizeof(*this) +
                       columns_.capacity() * sizeof(std::size_t);
-  for (const AttributeState& state : states_) {
-    bytes += state.ApproxMemoryBytes();
+  for (const Attribute& attr : attrs_) {
+    bytes += attr.ApproxMemoryBytes();
   }
   return bytes;
 }

@@ -1,16 +1,22 @@
-// Dataset-level streaming reconstruction — the record-oriented serving
-// shape of the paper's server. Providers submit whole perturbed *records*;
-// an attribute-shaped serving layer (one ReconstructionSession per column)
-// pays N ingest passes over every arriving batch. A DatasetSession owns
-// one AttributeState per tracked attribute and folds a record batch into
-// all of them in a SINGLE pass over the rows: row-major arrival,
-// column-major fold, sharded over the pool.
+// Dataset-level streaming reconstruction — the serving shape of the
+// paper's server. Providers submit perturbed *records* in batches over
+// time, and the miner wants an estimate of each attribute's true
+// distribution at any point, not only after the last record. A
+// DatasetSession tracks one or more attributes (a single-attribute session
+// is a spec with one AttributeSpec) and folds a record batch into all of
+// them in a SINGLE pass over the rows: row-major arrival, column-major
+// fold, sharded over the pool. Each perturbed value is binned once, on
+// arrival, into mergeable integer counts (ShardStats); EM runs on demand.
 //
 // Determinism: each ingestion shard accumulates its own integer ShardStats
 // per attribute and the shards merge in ascending order, so the per-
-// attribute counts — and therefore every ReconstructAll() estimate — are
-// byte-identical to N independent per-attribute sessions fed the same
-// columns, at any thread count (property-tested in tests/api_test.cc).
+// attribute counts are identical for every batching of the same records
+// and every thread count. A session's first (cold) ReconstructAll() is
+// therefore byte-identical, per attribute, to the batch
+// BayesReconstructor::Fit over the concatenated column (property-tested in
+// tests/api_test.cc). Later refreshes warm-start EM from the previous
+// estimate, which is what makes periodic re-estimation cheap as the stream
+// grows.
 //
 // Thread safety: Ingest() and ReconstructAll() may race from different
 // service jobs, and a SessionRegistry may evict (drop) the session while
@@ -29,14 +35,15 @@
 #include <mutex>
 #include <vector>
 
-#include "api/attribute_state.h"
-#include "api/session.h"
 #include "common/status.h"
 #include "data/row_batch.h"
 #include "data/schema.h"
+#include "engine/shard_stats.h"
 #include "engine/thread_pool.h"
 #include "perturb/noise_model.h"
+#include "reconstruct/partition.h"
 #include "reconstruct/reconstructor.h"
+#include "stats/histogram.h"
 
 namespace ppdm::api {
 
@@ -56,7 +63,9 @@ struct AttributeSpec {
   double privacy_fraction = 1.0;
   double confidence = 0.95;
 
-  /// EM tuning; `binned` must stay true (streaming folds binned counts).
+  /// EM tuning. `binned` must stay true: a session folds binned counts on
+  /// arrival, so the per-sample exact path is not available (Validate
+  /// rejects binned == false).
   reconstruct::ReconstructionOptions reconstruction;
 };
 
@@ -76,17 +85,16 @@ struct DatasetSessionSpec {
   /// Affects only throughput, never the counts.
   std::size_t shard_size = 16384;
 
-  /// Warm-start refreshes from each attribute's previous estimate.
+  /// Warm-start refreshes from each attribute's previous estimate. Off,
+  /// every refresh runs cold from the uniform prior (and so stays
+  /// byte-identical to the batch Fit at any point in the stream).
   bool warm_start = true;
 
-  /// kOk, or kInvalidArgument naming the offending attribute/field.
+  /// kOk, or kInvalidArgument naming the offending attribute/field: the
+  /// schema, each column's range and uniqueness, and per attribute its
+  /// domain (the schema field's [lo, hi) and `intervals`), its noise and
+  /// its EM tuning.
   Status Validate() const;
-
-  /// The per-attribute SessionSpec an independent ReconstructionSession
-  /// over attributes[index] would use — the equivalence contract between
-  /// the dataset path and N single-attribute sessions, and what Open uses
-  /// to build each AttributeState.
-  SessionSpec AttributeSession(std::size_t index) const;
 };
 
 /// The mutable half of a DatasetSession, detached for persistence: what a
@@ -136,9 +144,13 @@ class DatasetSession {
   Status Ingest(const data::RowBatch& rows);
 
   /// Fans one warm-started FitFromCounts per attribute over the pool and
-  /// returns the estimates in spec order. Byte-identical to calling
-  /// Reconstruct() on N independent per-attribute sessions with the same
-  /// ingestion history, at any thread count.
+  /// returns the estimates in spec order. The first call (or every call
+  /// with warm_start off) starts from the uniform prior and is, per
+  /// attribute, byte-identical to Fit over the concatenated column; later
+  /// calls warm-start from the previous estimate. Each attribute's
+  /// estimate equals that of a one-attribute session with the same
+  /// ingestion history, at any thread count. An empty session yields the
+  /// uniform distribution.
   Result<std::vector<reconstruct::Reconstruction>> ReconstructAll();
 
   /// Records ingested so far.
@@ -151,16 +163,39 @@ class DatasetSession {
   /// the session itself) — what SessionRegistry budgets account.
   std::size_t ApproxMemoryBytes() const;
 
-  std::size_t num_attributes() const { return states_.size(); }
+  std::size_t num_attributes() const { return attrs_.size(); }
   const DatasetSessionSpec& spec() const { return spec_; }
   const reconstruct::Partition& partition(std::size_t index) const {
-    return states_[index].partition();
+    return attrs_[index].partition;
   }
   const perturb::NoiseModel& noise_model(std::size_t index) const {
-    return states_[index].noise_model();
+    return attrs_[index].reconstructor.noise();
   }
 
  private:
+  /// One tracked attribute: its fixed layout (interval partition,
+  /// noise-aware reconstructor, perturbed-value bin layout), immutable
+  /// after construction and safe to read without mu_, and its mutable
+  /// accumulation (counts and the warm-start masses of the last fit),
+  /// guarded by mu_.
+  struct Attribute {
+    Attribute(double lo, double hi, std::size_t intervals,
+              perturb::NoiseModel model,
+              const reconstruct::ReconstructionOptions& options);
+
+    /// Heap bytes behind the attribute (counts, layout, warm-start
+    /// masses) plus the struct itself: everything it keeps between
+    /// requests.
+    std::size_t ApproxMemoryBytes() const;
+
+    const reconstruct::Partition partition;
+    const reconstruct::BayesReconstructor reconstructor;
+    const stats::Histogram layout;
+
+    engine::ShardStats stats;
+    std::vector<double> last_masses;  // empty until first fit
+  };
+
   DatasetSession(const DatasetSessionSpec& spec, engine::ThreadPool* pool);
 
   const DatasetSessionSpec spec_;
@@ -169,9 +204,9 @@ class DatasetSession {
   std::vector<std::size_t> columns_;
 
   mutable std::mutex mu_;
-  std::vector<AttributeState> states_;  // counts + masses guarded by mu_
-  std::uint64_t rows_ = 0;              // guarded by mu_
-  std::uint64_t batches_ = 0;           // guarded by mu_
+  std::vector<Attribute> attrs_;  // counts + masses guarded by mu_
+  std::uint64_t rows_ = 0;        // guarded by mu_
+  std::uint64_t batches_ = 0;     // guarded by mu_
 };
 
 }  // namespace ppdm::api

@@ -6,6 +6,7 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <memory>
 #include <optional>
@@ -15,7 +16,6 @@
 #include "api/dataset_session.h"
 #include "api/registry.h"
 #include "api/service.h"
-#include "api/session.h"
 #include "api/spec.h"
 #include "data/row_batch.h"
 #include "common/fault.h"
@@ -193,10 +193,10 @@ Result<StreamSimSpec> StreamSimSpecFromFlags(const Args& args) {
 
 // Provider side of the simulations: copies one true record batch into
 // `scratch`, folds the tracked columns into `truth` (when non-null), and
-// adds each tracked attribute's calibrated noise per record — the server
-// sees only the perturbed rows.
+// adds each tracked attribute's calibrated noise per record (`models[a]`
+// perturbs `columns[a]`) — the server sees only the perturbed rows.
 data::RowBatch PerturbTracked(const data::RowBatch& true_rows,
-                              const api::DatasetSession& session,
+                              const std::vector<perturb::NoiseModel>& models,
                               const std::vector<std::size_t>& columns,
                               std::vector<stats::Histogram>* truth,
                               Rng* noise_rng,
@@ -208,11 +208,51 @@ data::RowBatch PerturbTracked(const data::RowBatch& true_rows,
     double* row = scratch->data() + r * true_rows.num_cols();
     for (std::size_t a = 0; a < columns.size(); ++a) {
       if (truth != nullptr) (*truth)[a].Add(row[columns[a]]);
-      row[columns[a]] += session.noise_model(a).Sample(noise_rng);
+      row[columns[a]] += models[a].Sample(noise_rng);
     }
   }
   return data::RowBatch(scratch->data(), true_rows.num_rows(),
                         true_rows.num_cols());
+}
+
+// The provider noise stream of a record stream generated from `seed`.
+Rng ProviderNoiseRng(std::uint64_t seed) {
+  return Rng(seed ^ 0x9E3779B97F4A7C15ULL);
+}
+
+// The in-process stream driver of serve-sim, snapshot, metrics and trace:
+// streams `records` true benchmark records of `function` from `seed` in
+// batches of `batch_records`, perturbs each batch's tracked columns with
+// the session's own noise models (PerturbTracked) and hands it to
+// `on_batch` together with whether it is the stream's last. `truth`
+// (when non-null) accumulates the true tracked values per attribute. No
+// Dataset is ever materialized. Stops at the first error.
+Status DriveStream(
+    const api::DatasetSession& session, synth::Function function,
+    std::uint64_t seed, std::size_t records, std::size_t batch_records,
+    std::vector<stats::Histogram>* truth,
+    const std::function<Status(const data::RowBatch& rows, bool last)>&
+        on_batch) {
+  std::vector<std::size_t> columns;
+  std::vector<perturb::NoiseModel> models;
+  for (std::size_t a = 0; a < session.num_attributes(); ++a) {
+    columns.push_back(session.spec().attributes[a].column);
+    models.push_back(session.noise_model(a));
+  }
+  synth::GeneratorOptions gen;
+  gen.num_records = records;
+  gen.function = function;
+  gen.seed = seed;
+  synth::RecordStream stream(gen);
+  Rng noise_rng = ProviderNoiseRng(seed);
+  std::vector<double> scratch;
+  while (!stream.Done()) {
+    const data::RowBatch true_rows = stream.Next(batch_records);
+    const data::RowBatch rows = PerturbTracked(true_rows, models, columns,
+                                               truth, &noise_rng, &scratch);
+    PPDM_RETURN_IF_ERROR(on_batch(rows, stream.Done()));
+  }
+  return Status::Ok();
 }
 
 // Serve-sim wall-clock instruments: one sample per refresh and per whole
@@ -682,8 +722,8 @@ Status RunServeSim(const Args& args, std::ostream& out) {
   }
   // After a resume the checkpointed spec is authoritative (it may track
   // different attributes or noise than today's flags): re-derive the
-  // columns, and report the calibration PerturbTracked will actually
-  // apply (session->noise_model) rather than the flag-derived one.
+  // columns, and report the calibration DriveStream will actually apply
+  // (session->noise_model) rather than the flag-derived one.
   if (resumed) {
     sim.columns.clear();
     for (const api::AttributeSpec& attr : session->spec().attributes) {
@@ -695,17 +735,11 @@ Status RunServeSim(const Args& args, std::ostream& out) {
     sim.noise.confidence = first.confidence;
   }
 
-  // Provider side, simulated: stream true records and add each tracked
-  // attribute's calibrated noise per record — the server sees only the
-  // perturbed rows. No Dataset is ever materialized. A resumed run
-  // offsets the generator seed by the batches already folded so it
-  // streams fresh records, not a replay.
-  synth::GeneratorOptions gen;
-  gen.num_records = static_cast<std::size_t>(records);
-  gen.function = sim.function;
-  gen.seed = sim.noise.seed + (resumed ? session->batch_count() : 0);
-  synth::RecordStream stream(gen);
-  Rng noise_rng(gen.seed ^ 0x9E3779B97F4A7C15ULL);
+  // Provider side, simulated by DriveStream below. A resumed run offsets
+  // the generator seed by the batches already folded so it streams fresh
+  // records, not a replay.
+  const std::uint64_t stream_seed =
+      sim.noise.seed + (resumed ? session->batch_count() : 0);
 
   // True per-attribute distributions, for the error column of the report.
   // After a resume they cover only the new stream — the tv column then
@@ -736,7 +770,6 @@ Status RunServeSim(const Args& args, std::ostream& out) {
                    "EM iter", "tv(truth)", "refresh ms");
 
   obs::ScopedTimer stream_timer(&ServeStreamHistogram());
-  std::vector<double> perturbed;
   std::uint64_t checkpoints_written = 0;
   // Periodic checkpoints run as async service jobs: the frontend encodes
   // the session's state at the checkpoint instant (encoding must not race
@@ -752,11 +785,8 @@ Status RunServeSim(const Args& args, std::ostream& out) {
   std::vector<CheckpointJob> checkpoint_jobs;
   std::size_t batch_index =
       resumed ? static_cast<std::size_t>(session->batch_count()) : 0;
-  while (!stream.Done()) {
-    const data::RowBatch true_rows =
-        stream.Next(static_cast<std::size_t>(batch_records));
-    const data::RowBatch batch = PerturbTracked(
-        true_rows, *session, sim.columns, &truth, &noise_rng, &perturbed);
+  const auto on_batch = [&](const data::RowBatch& batch,
+                            bool last) -> Status {
     // Route each batch's access through Lookup so the registry's recency
     // and lookup counters reflect the traffic. (With one session and no
     // TTL it can never miss; eviction pressure needs a second tenant.)
@@ -783,9 +813,8 @@ Status RunServeSim(const Args& args, std::ostream& out) {
           {batch_index, std::move(handle), std::move(cancel)});
     }
 
-    const bool last = stream.Done();
     if (batch_index % static_cast<std::size_t>(refresh) != 0 && !last) {
-      continue;
+      return Status::Ok();
     }
     // Refresh from the frontend thread: the per-attribute fits fan out
     // over the service pool this way. (A real server would Submit() the
@@ -826,7 +855,11 @@ Status RunServeSim(const Args& args, std::ostream& out) {
                      max_iterations,
                      tv_sum / static_cast<double>(estimates.size()),
                      fit_ms);
-  }
+    return Status::Ok();
+  };
+  PPDM_RETURN_IF_ERROR(DriveStream(
+      *session, sim.function, stream_seed, static_cast<std::size_t>(records),
+      static_cast<std::size_t>(batch_records), &truth, on_batch));
   const double total_ms = 1e3 * stream_timer.Stop();
   // Quiesce the async checkpoints: Drain blocks new submissions and waits
   // for every in-flight job, then the settled handles are tallied. A
@@ -1024,20 +1057,11 @@ Status RunSnapshot(const Args& args, std::ostream& out) {
       const std::unique_ptr<api::DatasetSession> session,
       api::DatasetSession::Open(sim.session, pool ? &*pool : nullptr));
 
-  synth::GeneratorOptions gen;
-  gen.num_records = static_cast<std::size_t>(records);
-  gen.function = sim.function;
-  gen.seed = sim.noise.seed;
-  synth::RecordStream stream(gen);
-  Rng noise_rng(gen.seed ^ 0x9E3779B97F4A7C15ULL);
-  std::vector<double> perturbed;
-  while (!stream.Done()) {
-    const data::RowBatch true_rows =
-        stream.Next(static_cast<std::size_t>(batch_records));
-    PPDM_RETURN_IF_ERROR(session->Ingest(
-        PerturbTracked(true_rows, *session, sim.columns,
-                       /*truth=*/nullptr, &noise_rng, &perturbed)));
-  }
+  PPDM_RETURN_IF_ERROR(DriveStream(
+      *session, sim.function, sim.noise.seed,
+      static_cast<std::size_t>(records),
+      static_cast<std::size_t>(batch_records), /*truth=*/nullptr,
+      [&](const data::RowBatch& rows, bool) { return session->Ingest(rows); }));
   if (args.Has("reconstruct")) {
     // Bake an estimate in so the snapshot carries warm-start masses.
     PPDM_RETURN_IF_ERROR(session->ReconstructAll().status());
@@ -1143,20 +1167,11 @@ Status RunMetrics(const Args& args, std::ostream& out) {
       const std::unique_ptr<api::DatasetSession> session,
       api::DatasetSession::Open(sim.session, service->pool()));
 
-  synth::GeneratorOptions gen;
-  gen.num_records = static_cast<std::size_t>(records);
-  gen.function = sim.function;
-  gen.seed = sim.noise.seed;
-  synth::RecordStream stream(gen);
-  Rng noise_rng(gen.seed ^ 0x9E3779B97F4A7C15ULL);
-  std::vector<double> perturbed;
-  while (!stream.Done()) {
-    const data::RowBatch true_rows =
-        stream.Next(static_cast<std::size_t>(batch_records));
-    PPDM_RETURN_IF_ERROR(session->Ingest(
-        PerturbTracked(true_rows, *session, sim.columns,
-                       /*truth=*/nullptr, &noise_rng, &perturbed)));
-  }
+  PPDM_RETURN_IF_ERROR(DriveStream(
+      *session, sim.function, sim.noise.seed,
+      static_cast<std::size_t>(records),
+      static_cast<std::size_t>(batch_records), /*truth=*/nullptr,
+      [&](const data::RowBatch& rows, bool) { return session->Ingest(rows); }));
   PPDM_RETURN_IF_ERROR(session->ReconstructAll().status());
   const std::string bytes = store::EncodeDatasetSession(*session);
   PPDM_RETURN_IF_ERROR(
@@ -1197,13 +1212,6 @@ Status RunTrace(const Args& args, std::ostream& out) {
       const std::unique_ptr<api::DatasetSession> session,
       api::DatasetSession::Open(sim.session, service->pool()));
 
-  synth::GeneratorOptions gen;
-  gen.num_records = static_cast<std::size_t>(records);
-  gen.function = sim.function;
-  gen.seed = sim.noise.seed;
-  synth::RecordStream stream(gen);
-  Rng noise_rng(gen.seed ^ 0x9E3779B97F4A7C15ULL);
-  std::vector<double> perturbed;
   const auto traced = [&](const char* verb,
                           std::function<Result<bool>()> job) -> Status {
     const std::uint64_t trace_id = obs::NewTraceId();
@@ -1218,17 +1226,16 @@ Status RunTrace(const Args& args, std::ostream& out) {
     obs::EndSpan(&request_span);
     return settled.status();
   };
-  while (!stream.Done()) {
-    const data::RowBatch true_rows =
-        stream.Next(static_cast<std::size_t>(batch_records));
-    const data::RowBatch rows =
-        PerturbTracked(true_rows, *session, sim.columns,
-                       /*truth=*/nullptr, &noise_rng, &perturbed);
-    PPDM_RETURN_IF_ERROR(traced("ingest", [&]() -> Result<bool> {
-      PPDM_RETURN_IF_ERROR(session->Ingest(rows));
-      return true;
-    }));
-  }
+  PPDM_RETURN_IF_ERROR(DriveStream(
+      *session, sim.function, sim.noise.seed,
+      static_cast<std::size_t>(records),
+      static_cast<std::size_t>(batch_records), /*truth=*/nullptr,
+      [&](const data::RowBatch& rows, bool) {
+        return traced("ingest", [&]() -> Result<bool> {
+          PPDM_RETURN_IF_ERROR(session->Ingest(rows));
+          return true;
+        });
+      }));
   PPDM_RETURN_IF_ERROR(traced("reconstruct", [&]() -> Result<bool> {
     PPDM_RETURN_IF_ERROR(session->ReconstructAll().status());
     return true;
@@ -1479,7 +1486,13 @@ Status RunLoadgen(const Args& args, std::ostream& out) {
       gen.function = sim.function;
       gen.seed = sim.noise.seed + t * 1000003ULL;
       streams.push_back(TenantStream{t, synth::RecordStream(gen),
-                                     Rng(gen.seed ^ 0x9E3779B97F4A7C15ULL)});
+                                     ProviderNoiseRng(gen.seed)});
+    }
+    // Provider-side perturbation with the same flag-derived calibration
+    // the daemon's session evaluates during EM.
+    std::vector<perturb::NoiseModel> models;
+    for (const std::size_t col : sim.columns) {
+      models.push_back(randomizer.ModelFor(col));
     }
     std::vector<double> perturbed;
     bool progress = true;
@@ -1490,22 +1503,14 @@ Status RunLoadgen(const Args& args, std::ostream& out) {
         progress = true;
         const data::RowBatch true_rows =
             ts.stream.Next(static_cast<std::size_t>(batch_records));
-        // Provider-side perturbation with the same flag-derived
-        // calibration the daemon's session evaluates during EM.
-        perturbed.assign(true_rows.values(),
-                         true_rows.values() +
-                             true_rows.num_rows() * true_rows.num_cols());
-        for (std::size_t r = 0; r < true_rows.num_rows(); ++r) {
-          double* row = perturbed.data() + r * true_rows.num_cols();
-          for (const std::size_t col : sim.columns) {
-            row[col] += randomizer.ModelFor(col).Sample(&ts.noise_rng);
-          }
-        }
+        const data::RowBatch rows =
+            PerturbTracked(true_rows, models, sim.columns,
+                           /*truth=*/nullptr, &ts.noise_rng, &perturbed);
         Status ingested;
         {
           obs::ScopedTimer timer(ingest_hist);
-          ingested = client.Ingest(ts.id, true_rows.num_rows(),
-                                   true_rows.num_cols(), perturbed, ttl)
+          ingested = client.Ingest(ts.id, rows.num_rows(), rows.num_cols(),
+                                   perturbed, ttl)
                          .status();
         }
         PPDM_RETURN_IF_ERROR(note(ingested));

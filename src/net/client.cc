@@ -18,9 +18,9 @@ Status Client::SendRaw(std::string_view bytes) {
 }
 
 Result<Frame> Client::ReadFrame() {
-  // Headers are variable-length since protocol v2 (optional trace id):
-  // accumulate exactly the bytes HeaderBytesNeeded asks for — at most
-  // three reads (magic+version, fixed prefix, trace tail).
+  // Headers are variable-length (optional trace id): accumulate exactly
+  // the bytes HeaderBytesNeeded asks for — at most four reads (magic,
+  // version, fixed prefix, trace tail).
   std::string header_bytes;
   for (std::size_t needed = HeaderBytesNeeded(header_bytes); needed > 0;
        needed = HeaderBytesNeeded(header_bytes)) {

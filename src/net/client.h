@@ -89,7 +89,8 @@ class Client {
   Result<std::string> Trace(std::uint32_t ttl_ms = 0);
 
   /// Trace id attached to every subsequent Call (0 = none; requests then
-  /// ride v1 frames and the daemon mints its own ids). Lets a caller
+  /// carry a zero-length trace field and the daemon mints its own ids).
+  /// Lets a caller
   /// stitch the daemon's span tree into its own trace.
   void set_trace_id(std::uint64_t trace_id) { trace_id_ = trace_id; }
   std::uint64_t trace_id() const { return trace_id_; }

@@ -35,13 +35,8 @@ std::uint32_t PeekU32(std::string_view bytes, std::size_t offset) {
   return byte(0) | byte(1) << 8 | byte(2) << 16 | byte(3) << 24;
 }
 
-/// Offset of the v2 trace-length word (just after ttl_ms).
+/// Offset of the trace-length word (just after ttl_ms).
 constexpr std::size_t kTraceLenOffset = 32;
-
-/// Wire size of a v2 header with `trace_chars` hex chars of trace id.
-constexpr std::size_t V2HeaderSize(std::size_t trace_chars) {
-  return 48 + trace_chars;
-}
 
 }  // namespace
 
@@ -50,18 +45,15 @@ std::string EncodeFrame(std::uint32_t verb, std::uint64_t request_id,
                         std::string_view body, std::uint64_t trace_id) {
   store::Writer writer;
   writer.PutU32(kFrameMagic);
-  writer.PutU32(trace_id == 0 ? 1u : 2u);  // v1 unless a trace id rides
+  writer.PutU32(kProtocolVersion);
   writer.PutU32(verb);
   writer.PutU64(request_id);
   writer.PutU64(tenant);
   writer.PutU32(ttl_ms);
-  std::string frame;
+  writer.PutU32(trace_id == 0 ? 0 : kMaxTraceHexChars);
+  std::string frame = writer.Take();
   if (trace_id != 0) {
-    writer.PutU32(kMaxTraceHexChars);
-    frame = writer.Take();
     frame += StrFormat("%016llx", static_cast<unsigned long long>(trace_id));
-  } else {
-    frame = writer.Take();
   }
   store::Writer tail;
   tail.PutU64(body.size());
@@ -77,17 +69,12 @@ std::size_t HeaderBytesNeeded(std::string_view bytes) {
   if (bytes.size() < 4) return 4 - bytes.size();
   if (PeekU32(bytes, 0) != kFrameMagic) return 0;
   if (bytes.size() < 8) return 8 - bytes.size();
-  if (PeekU32(bytes, 4) != 2) {
-    // v1 (and any unsupported version, which a 44-byte prefix suffices
-    // to report) uses the fixed layout.
-    return bytes.size() < kHeaderSize ? kHeaderSize - bytes.size() : 0;
-  }
-  if (bytes.size() < kTraceLenOffset + 4) {
-    return kTraceLenOffset + 4 - bytes.size();
-  }
+  // An unsupported version is reported now, before any more buffering.
+  if (PeekU32(bytes, 4) != kProtocolVersion) return 0;
+  if (bytes.size() < kHeaderSize) return kHeaderSize - bytes.size();
   const std::uint32_t trace_chars = PeekU32(bytes, kTraceLenOffset);
   if (trace_chars > kMaxTraceHexChars) return 0;  // hostile — report now
-  const std::size_t total = V2HeaderSize(trace_chars);
+  const std::size_t total = kHeaderSize + trace_chars;
   return bytes.size() < total ? total - bytes.size() : 0;
 }
 
@@ -103,29 +90,23 @@ Result<FrameHeader> DecodeHeader(std::string_view bytes,
   }
   FrameHeader header;
   header.version = PeekU32(bytes, 4);
-  if (header.version == 0 || header.version > kProtocolVersion) {
+  if (header.version != kProtocolVersion) {
     return Status::FailedPrecondition(
-        StrFormat("frame version %u not supported (this peer speaks 1..%u)",
+        StrFormat("frame version %u not supported (this peer speaks %u)",
                   header.version, kProtocolVersion));
   }
-  std::size_t trace_chars = 0;
-  if (header.version == 2) {
-    if (bytes.size() < kTraceLenOffset + 4) {
-      return Status::IoError(
-          StrFormat("truncated frame header: %zu of at least %zu bytes",
-                    bytes.size(), kTraceLenOffset + 4));
-    }
-    const std::uint32_t declared = PeekU32(bytes, kTraceLenOffset);
-    if (declared > kMaxTraceHexChars) {
-      return Status::InvalidArgument(
-          StrFormat("trace id of %u chars exceeds the %u-char cap", declared,
-                    kMaxTraceHexChars));
-    }
-    trace_chars = declared;
-    header.header_size = V2HeaderSize(trace_chars);
-  } else {
-    header.header_size = kHeaderSize;
+  if (bytes.size() < kHeaderSize) {
+    return Status::IoError(
+        StrFormat("truncated frame header: %zu of at least %zu bytes",
+                  bytes.size(), kHeaderSize));
   }
+  const std::uint32_t trace_chars = PeekU32(bytes, kTraceLenOffset);
+  if (trace_chars > kMaxTraceHexChars) {
+    return Status::InvalidArgument(
+        StrFormat("trace id of %u chars exceeds the %u-char cap", trace_chars,
+                  kMaxTraceHexChars));
+  }
+  header.header_size = kHeaderSize + trace_chars;
   if (bytes.size() < header.header_size) {
     return Status::IoError(
         StrFormat("truncated frame header: %zu of %zu bytes", bytes.size(),
@@ -136,28 +117,24 @@ Result<FrameHeader> DecodeHeader(std::string_view bytes,
   PPDM_ASSIGN_OR_RETURN(header.request_id, reader.ReadU64());
   PPDM_ASSIGN_OR_RETURN(header.tenant, reader.ReadU64());
   PPDM_ASSIGN_OR_RETURN(header.ttl_ms, reader.ReadU32());
-  std::size_t tail_offset = kTraceLenOffset;
-  if (header.version == 2) {
-    // Trace id: hex chars from an untrusted peer. Anything but lowercase
-    // hex naming a nonzero u64 is hostile.
-    for (std::size_t i = 0; i < trace_chars; ++i) {
-      const char c = bytes[kTraceLenOffset + 4 + i];
-      const std::uint64_t digit =
-          c >= '0' && c <= '9'   ? static_cast<std::uint64_t>(c - '0')
-          : c >= 'a' && c <= 'f' ? static_cast<std::uint64_t>(c - 'a' + 10)
-                                 : 16;
-      if (digit >= 16) {
-        return Status::InvalidArgument(
-            "frame trace id holds non-hex characters");
-      }
-      header.trace_id = header.trace_id << 4 | digit;
+  // Trace id: hex chars from an untrusted peer. Anything but lowercase hex
+  // naming a nonzero u64 is hostile.
+  for (std::size_t i = 0; i < trace_chars; ++i) {
+    const char c = bytes[kTraceLenOffset + 4 + i];
+    const std::uint64_t digit =
+        c >= '0' && c <= '9'   ? static_cast<std::uint64_t>(c - '0')
+        : c >= 'a' && c <= 'f' ? static_cast<std::uint64_t>(c - 'a' + 10)
+                               : 16;
+    if (digit >= 16) {
+      return Status::InvalidArgument(
+          "frame trace id holds non-hex characters");
     }
-    if (trace_chars > 0 && header.trace_id == 0) {
-      return Status::InvalidArgument("frame trace id must be nonzero");
-    }
-    tail_offset = kTraceLenOffset + 4 + trace_chars;
+    header.trace_id = header.trace_id << 4 | digit;
   }
-  store::Reader tail(bytes.substr(tail_offset, 12));
+  if (trace_chars > 0 && header.trace_id == 0) {
+    return Status::InvalidArgument("frame trace id must be nonzero");
+  }
+  store::Reader tail(bytes.substr(kTraceLenOffset + 4 + trace_chars, 12));
   PPDM_ASSIGN_OR_RETURN(header.body_length, tail.ReadU64());
   if (header.body_length > max_body_bytes) {
     return Status::ResourceExhausted(

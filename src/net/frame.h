@@ -2,16 +2,16 @@
 // serving daemon. One frame per request and per response, in both
 // directions:
 //
-//   v1: [u32 magic "PPDN"][u32 version][u32 verb][u64 request id]
-//       [u64 tenant id][u32 ttl_ms][u64 body length][u32 body crc32][body]
-//   v2: same through ttl_ms, then [u32 trace len][trace-id hex chars]
-//       [u64 body length][u32 body crc32][body]
+//   [u32 magic "PPDN"][u32 version = 2][u32 verb][u64 request id]
+//   [u64 tenant id][u32 ttl_ms][u32 trace len][trace-id hex chars]
+//   [u64 body length][u32 body crc32][body]
 //
-// Version 2 adds an optional client-supplied trace id — 1..16 lowercase
-// hex chars naming a nonzero u64 — so a caller can stitch the daemon's
-// span tree into its own trace. Encoders emit v1 whenever no trace id is
-// attached, so v1-only peers interoperate untouched; decoders accept
-// both. Because the v2 header is variable-length, readers first ask
+// The trace field carries an optional client-supplied trace id — 1..16
+// lowercase hex chars naming a nonzero u64 — so a caller can stitch the
+// daemon's span tree into its own trace; a trace length of 0 means no
+// trace id. This repository owns both ends of the wire, so there is one
+// layout: any other version word is refused before a body is buffered.
+// Because the header is variable-length, readers first ask
 // HeaderBytesNeeded() how many bytes to accumulate.
 //
 // All integers little-endian via the src/store codec primitives, the body
@@ -41,12 +41,13 @@ namespace ppdm::net {
 /// "PPDN" little-endian — distinct from the store's 8-byte "PPDMSNAP".
 inline constexpr std::uint32_t kFrameMagic = 0x4E445050;
 
-/// Current protocol version. Peers accept 1..kProtocolVersion.
+/// The protocol version; peers accept exactly this one.
 inline constexpr std::uint32_t kProtocolVersion = 2;
 
-/// Fixed wire size of a version-1 header (the body follows immediately).
-/// A version-2 header is 48 bytes plus its trace-id hex chars.
-inline constexpr std::size_t kHeaderSize = 44;
+/// Fixed prefix of every header: the whole header when no trace id rides
+/// (trace length 0); otherwise the trace-id hex chars follow the length
+/// word and the header grows by that many bytes.
+inline constexpr std::size_t kHeaderSize = 48;
 
 /// Longest accepted trace-id field: a u64 is at most 16 hex chars. A
 /// larger length prefix is hostile and rejected before any buffering.
@@ -84,13 +85,12 @@ struct FrameHeader {
   /// Request time-to-live in milliseconds; 0 means no deadline. The
   /// server maps a nonzero TTL onto the service's submit deadline.
   std::uint32_t ttl_ms = 0;
-  /// Client-supplied trace id (v2 frames); 0 = absent, and the server
-  /// mints its own.
+  /// Client-supplied trace id; 0 = absent, and the server mints its own.
   std::uint64_t trace_id = 0;
   std::uint64_t body_length = 0;
   std::uint32_t body_crc = 0;
-  /// Wire size of this header — kHeaderSize for v1, 48 + hex chars for
-  /// v2. The body starts at this offset.
+  /// Wire size of this header — kHeaderSize plus the trace-id hex chars.
+  /// The body starts at this offset.
   std::size_t header_size = kHeaderSize;
 };
 
@@ -100,10 +100,10 @@ struct Frame {
   std::string body;
 };
 
-/// Serializes one frame (header + body) for the wire: a v1 header when
-/// `trace_id` is 0, a v2 header carrying it otherwise. The uint32
-/// overload exists so a response can echo a request's verb even when that
-/// verb is not one this peer defines.
+/// Serializes one frame (header + body) for the wire, with a trace length
+/// of 0 when `trace_id` is 0 and the id's 16 hex chars otherwise. The
+/// uint32 overload exists so a response can echo a request's verb even
+/// when that verb is not one this peer defines.
 std::string EncodeFrame(std::uint32_t verb, std::uint64_t request_id,
                         std::uint64_t tenant, std::uint32_t ttl_ms,
                         std::string_view body, std::uint64_t trace_id = 0);
@@ -118,7 +118,7 @@ inline std::string EncodeFrame(Verb verb, std::uint64_t request_id,
 /// How many more bytes of `bytes` a reader must accumulate before
 /// DecodeHeader can fully judge the header; 0 means decode now (the
 /// header is complete — or already undecodably hostile, which DecodeHeader
-/// will report). Handles the v2 variable length: the answer grows as the
+/// will report). Handles the variable length: the answer grows as the
 /// version word and then the trace-length word arrive.
 std::size_t HeaderBytesNeeded(std::string_view bytes);
 
@@ -126,9 +126,9 @@ std::size_t HeaderBytesNeeded(std::string_view bytes);
 /// header_size bytes — accumulate until HeaderBytesNeeded says 0).
 /// Failures: kIoError for a truncated header (wait for more),
 /// kInvalidArgument for a wrong magic or a hostile trace id (oversized
-/// length, non-hex chars, zero value), kFailedPrecondition for a version
-/// newer than kProtocolVersion, and kResourceExhausted for a body length
-/// past `max_body_bytes`.
+/// length, non-hex chars, zero value), kFailedPrecondition for any
+/// version other than kProtocolVersion, and kResourceExhausted for a body
+/// length past `max_body_bytes`.
 Result<FrameHeader> DecodeHeader(std::string_view bytes,
                                  std::uint64_t max_body_bytes);
 

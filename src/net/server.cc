@@ -305,6 +305,7 @@ void Server::AcceptReady() {
     auto conn = std::make_shared<Connection>();
     conn->sock = Socket(fd);
     if (!SetNonBlocking(fd).ok()) continue;  // conn closes on scope exit
+    (void)SetNoDelay(fd);  // best effort: without it replies only lag
     connections_.push_back(std::move(conn));
     connections_total_->Increment();
     connections_open_->Add(1);
@@ -347,14 +348,14 @@ void Server::ParseFrames(const std::shared_ptr<Connection>& conn) {
     }
     const std::string_view rest =
         std::string_view(conn->inbuf).substr(pos);
-    // Headers are variable-length since protocol v2 (optional trace id):
-    // HeaderBytesNeeded answers "wait for more" vs. "judge now".
+    // Headers are variable-length (optional trace id): HeaderBytesNeeded
+    // answers "wait for more" vs. "judge now".
     if (HeaderBytesNeeded(rest) > 0) break;
     Result<FrameHeader> header =
         DecodeHeader(rest, options_.max_body_bytes);
     if (!header.ok()) {
       // HeaderBytesNeeded returned 0, so this is never mere truncation —
-      // every failure (bad magic, future version, hostile trace id,
+      // every failure (bad magic, unsupported version, hostile trace id,
       // oversized body) is a poisoned stream: answer once, flush, close.
       protocol_errors_->Increment();
       EnqueueResponse(conn, FrameHeader{}, header.status(), "");
@@ -439,7 +440,7 @@ void Server::Dispatch(const std::shared_ptr<Connection>& conn,
       .GetCounter("ppdm_tenant_bytes_total", {{"tenant", tenant_name}})
       ->Increment(body.size());
   // The request's root span: opened here, closed in the completion
-  // callback (possibly on a worker). A v2 frame's client trace id wins
+  // callback (possibly on a worker). A frame's client trace id wins
   // so the caller can stitch our tree into its own; otherwise mint one.
   const std::uint64_t trace_id =
       header.trace_id != 0 ? header.trace_id : obs::NewTraceId();

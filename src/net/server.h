@@ -25,7 +25,7 @@
 //     parsing its buffered frames) while its in-flight requests reach the
 //     connection window, or the server-wide in-flight total reaches
 //     max_pending — TCP flow control then pushes back on the client.
-//   * Every malformed frame (bad magic, future version, oversized body,
+//   * Every malformed frame (bad magic, unsupported version, oversized body,
 //     CRC mismatch) gets an error response and a connection close after
 //     flush; the process keeps serving other connections.
 //

@@ -109,11 +109,7 @@ Result<Socket> ConnectTcp(const std::string& host, int port) {
         if (rc != 0) return ErrnoStatus("connect", errno);
         return Status::Ok();
       });
-  if (socket.ok()) {
-    const int one = 1;
-    (void)::setsockopt(socket.value().fd(), IPPROTO_TCP, TCP_NODELAY, &one,
-                       sizeof(one));
-  }
+  if (socket.ok()) (void)SetNoDelay(socket.value().fd());
   return socket;
 }
 
@@ -122,6 +118,14 @@ Status SetNonBlocking(int fd) {
   if (flags < 0) return ErrnoStatus("fcntl(F_GETFL)", errno);
   if (::fcntl(fd, F_SETFL, flags | O_NONBLOCK) != 0) {
     return ErrnoStatus("fcntl(F_SETFL)", errno);
+  }
+  return Status::Ok();
+}
+
+Status SetNoDelay(int fd) {
+  const int one = 1;
+  if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) != 0) {
+    return ErrnoStatus("setsockopt(TCP_NODELAY)", errno);
   }
   return Status::Ok();
 }

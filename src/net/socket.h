@@ -53,12 +53,18 @@ Result<Socket> ListenTcp(const std::string& host, int port, int backlog);
 /// The locally bound port of a listening socket.
 Result<int> BoundPort(const Socket& socket);
 
-/// A connected blocking TCP socket to host:port (TCP_NODELAY set — the
-/// protocol is request/response over small frames).
+/// A connected blocking TCP socket to host:port (TCP_NODELAY set via
+/// SetNoDelay).
 Result<Socket> ConnectTcp(const std::string& host, int port);
 
 /// Marks `fd` non-blocking.
 Status SetNonBlocking(int fd);
+
+/// Sets TCP_NODELAY on a connected TCP socket: the protocol is
+/// request/response over small frames, so a reply must not wait for the
+/// peer's delayed ACK. Both ends call it (ConnectTcp, the server's
+/// accept).
+Status SetNoDelay(int fd);
 
 /// Writes all of `bytes` to a blocking socket (EINTR-safe loop). Sends
 /// with MSG_NOSIGNAL: a peer that reset the connection is an EPIPE

@@ -109,22 +109,6 @@ Status ValidateDerivedLayout(double lo, double hi, std::size_t intervals,
   return Status::Ok();
 }
 
-Status ValidateMasses(const std::vector<double>& masses,
-                      std::size_t intervals) {
-  if (!masses.empty() && masses.size() != intervals) {
-    return Status::InvalidArgument(StrFormat(
-        "%zu warm-start masses for a %zu-interval partition",
-        masses.size(), intervals));
-  }
-  for (double m : masses) {
-    if (!std::isfinite(m) || m < 0.0) {
-      return Status::InvalidArgument(
-          "snapshot warm-start mass is non-finite or negative");
-    }
-  }
-  return Status::Ok();
-}
-
 }  // namespace
 
 // -------------------------------------------------------------- ShardStats
@@ -171,76 +155,6 @@ Result<engine::ShardStats> DecodeShardStats(Reader* reader) {
       static_cast<std::size_t>(num_bins),
       static_cast<std::size_t>(num_classes), record_count,
       std::move(counts));
-}
-
-// ---------------------------------------------------------- AttributeState
-
-void EncodeAttributeState(const api::AttributeState& state, Writer* writer) {
-  const reconstruct::Partition& partition = state.partition();
-  writer->PutDouble(partition.lo());
-  writer->PutDouble(partition.hi());
-  writer->PutU64(partition.intervals());
-  const perturb::NoiseModel& noise = state.noise_model();
-  writer->PutU8(NoiseKindToWire(noise.kind()));
-  writer->PutDouble(noise.scale());
-  EncodeReconstructionOptions(state.reconstructor().options(), writer);
-  EncodeShardStats(state.stats(), writer);
-  writer->PutDoubleArray(state.last_masses());
-}
-
-Result<api::AttributeState> DecodeAttributeState(Reader* reader) {
-  PPDM_ASSIGN_OR_RETURN(const double lo, reader->ReadDouble());
-  PPDM_ASSIGN_OR_RETURN(const double hi, reader->ReadDouble());
-  PPDM_ASSIGN_OR_RETURN(const std::uint64_t intervals, reader->ReadU64());
-  if (!std::isfinite(lo) || !std::isfinite(hi) || !(lo < hi)) {
-    return Status::InvalidArgument(
-        "snapshot attribute domain is non-finite or empty");
-  }
-  if (intervals < 2 || intervals > (1u << 20)) {
-    return Status::InvalidArgument(StrFormat(
-        "snapshot attribute has %llu intervals (want 2..%u)",
-        static_cast<unsigned long long>(intervals), 1u << 20));
-  }
-  PPDM_ASSIGN_OR_RETURN(const std::uint8_t kind_wire, reader->ReadU8());
-  PPDM_ASSIGN_OR_RETURN(const perturb::NoiseKind kind,
-                        NoiseKindFromWire(kind_wire));
-  PPDM_ASSIGN_OR_RETURN(const double scale, reader->ReadDouble());
-  if (kind == perturb::NoiseKind::kNone) {
-    if (scale != 0.0) {
-      return Status::InvalidArgument(
-          "snapshot kNone noise carries a nonzero scale");
-    }
-  } else if (!std::isfinite(scale) || scale <= 0.0) {
-    return Status::InvalidArgument(
-        "snapshot noise scale is non-finite or non-positive");
-  }
-  PPDM_ASSIGN_OR_RETURN(const reconstruct::ReconstructionOptions options,
-                        DecodeReconstructionOptions(reader));
-
-  const perturb::NoiseModel model =
-      kind == perturb::NoiseKind::kNone
-          ? perturb::NoiseModel::None()
-          : kind == perturb::NoiseKind::kUniform
-                ? perturb::NoiseModel::Uniform(scale)
-                : perturb::NoiseModel::Gaussian(scale);
-  PPDM_RETURN_IF_ERROR(ValidateDerivedLayout(
-      lo, hi, static_cast<std::size_t>(intervals), model));
-  api::AttributeState state(lo, hi, static_cast<std::size_t>(intervals),
-                            model, options);
-
-  PPDM_ASSIGN_OR_RETURN(engine::ShardStats stats, DecodeShardStats(reader));
-  if (stats.num_bins() != state.num_bins() || stats.num_classes() != 1) {
-    return Status::InvalidArgument(StrFormat(
-        "snapshot counts are %zu bins x %zu classes; the attribute layout "
-        "derives %zu bins x 1",
-        stats.num_bins(), stats.num_classes(), state.num_bins()));
-  }
-  PPDM_ASSIGN_OR_RETURN(std::vector<double> masses,
-                        reader->ReadDoubleArray());
-  PPDM_RETURN_IF_ERROR(
-      ValidateMasses(masses, state.partition().intervals()));
-  state.RestoreAccumulation(std::move(stats), std::move(masses));
-  return state;
 }
 
 // ------------------------------------------------------ DatasetSessionSpec

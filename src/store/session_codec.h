@@ -1,11 +1,11 @@
-// Snapshot codec for the serving-layer state: engine::ShardStats,
-// api::AttributeState, and whole api::DatasetSession sessions, over the
-// endian-stable Writer/Reader byte layer. A snapshot carries the session
-// spec plus the mutable accumulation; the fixed layouts (partitions,
-// perturbed-value binnings, noise models) are re-derived deterministically
-// from the spec on decode, so a decoded session continues byte-identically
-// to the live one — the exchangeable representation distributed PPDM
-// deployments ship between sites.
+// Snapshot codec for the serving-layer state: engine::ShardStats and whole
+// api::DatasetSession sessions, over the endian-stable Writer/Reader byte
+// layer. A snapshot carries the session spec plus the mutable
+// accumulation; the fixed layouts (partitions, perturbed-value binnings,
+// noise models) are re-derived deterministically from the spec on decode,
+// so a decoded session continues byte-identically to the live one — the
+// exchangeable representation distributed PPDM deployments ship between
+// sites.
 //
 // Every decode failure (truncation, CRC mismatch, wrong magic, future
 // format version, shape mismatch) is a Status error, never a CHECK abort:
@@ -19,7 +19,6 @@
 #include <string>
 #include <string_view>
 
-#include "api/attribute_state.h"
 #include "api/dataset_session.h"
 #include "common/status.h"
 #include "engine/shard_stats.h"
@@ -40,20 +39,6 @@ inline constexpr std::uint32_t kStateSectionTag = 0x54415453;  // "STAT"
 
 void EncodeShardStats(const engine::ShardStats& stats, Writer* writer);
 Result<engine::ShardStats> DecodeShardStats(Reader* reader);
-
-/// Serializes one attribute's full reconstruction state: the layout
-/// parameters (partition domain, noise model, EM options) plus the
-/// accumulated counts and warm-start masses.
-///
-/// Note this is deliberately a *self-contained* shape (it carries the
-/// derived noise scale, not the privacy calibration that produced it) —
-/// the exchange format for a single attribute's statistics between
-/// sites. Dataset-session snapshots do NOT route through it: they store
-/// the spec once and only counts + masses per attribute, re-deriving
-/// every layout on decode. A field added to AttributeState's mutable
-/// accumulation must be threaded through both encoders.
-void EncodeAttributeState(const api::AttributeState& state, Writer* writer);
-Result<api::AttributeState> DecodeAttributeState(Reader* reader);
 
 void EncodeDatasetSessionSpec(const api::DatasetSessionSpec& spec,
                               Writer* writer);

@@ -1,7 +1,8 @@
 // Tests for the session-oriented serving API: spec validation (invalid
 // requests come back as kInvalidArgument, never a PPDM_CHECK abort),
-// streaming ingest equivalence (Ingest in 1 batch == many batches ==
-// batch Fit, byte for byte, at every thread count), EM warm-start
+// streaming ingest equivalence (a DatasetSession's first estimate from 1
+// batch == many batches == batch Fit over the raw column, byte for byte,
+// at every thread count), EM warm-start
 // behaviour, and the async job service (N concurrent submissions return
 // exactly the sequential results).
 
@@ -26,11 +27,9 @@
 #endif
 #endif
 
-#include "api/attribute_state.h"
 #include "api/dataset_session.h"
 #include "api/registry.h"
 #include "api/service.h"
-#include "api/session.h"
 #include "api/spec.h"
 #include "data/row_batch.h"
 #include "perturb/randomizer.h"
@@ -157,33 +156,19 @@ TEST(SpecValidationTest, ValidateDomainRejectsDegenerateRanges) {
   EXPECT_TRUE(ValidateDomain(0.0, 1.0, 2).ok());
 }
 
-TEST(SessionSpecValidationTest, RejectsBadSpecsWithStatusNotAbort) {
-  SessionSpec bad_domain;
-  bad_domain.lo = 5.0;
-  bad_domain.hi = 5.0;
-  EXPECT_EQ(bad_domain.Validate().code(), StatusCode::kInvalidArgument);
-
-  SessionSpec zero_intervals;
-  zero_intervals.intervals = 0;
-  EXPECT_EQ(zero_intervals.Validate().code(), StatusCode::kInvalidArgument);
-
-  SessionSpec bad_privacy;
-  bad_privacy.privacy_fraction = -1.0;
-  EXPECT_EQ(bad_privacy.Validate().code(), StatusCode::kInvalidArgument);
-
-  // Streaming cannot honour the per-sample exact EM path: the session
-  // would silently diverge from Fit, so the spec is rejected.
-  SessionSpec exact_path;
-  exact_path.reconstruction.binned = false;
-  EXPECT_EQ(exact_path.Validate().code(), StatusCode::kInvalidArgument);
-
-  // Open surfaces the same status instead of crashing.
-  const auto session = ReconstructionSession::Open(zero_intervals);
-  EXPECT_FALSE(session.ok());
-  EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument);
-}
-
 // -------------------------------------------------------------- streaming
+
+/// `dataset` flattened row-major (no labels).
+std::vector<double> FlattenRows(const data::Dataset& dataset) {
+  std::vector<double> rows(dataset.NumRows() * dataset.NumCols());
+  for (std::size_t c = 0; c < dataset.NumCols(); ++c) {
+    const std::vector<double>& column = dataset.Column(c);
+    for (std::size_t r = 0; r < dataset.NumRows(); ++r) {
+      rows[r * dataset.NumCols() + c] = column[r];
+    }
+  }
+  return rows;
+}
 
 // Perturbed benchmark data shared by the streaming tests.
 struct StreamFixture {
@@ -199,26 +184,50 @@ struct StreamFixture {
     randomizer = std::make_unique<perturb::Randomizer>(original->schema(),
                                                        noise);
     perturbed = randomizer->Perturb(*original);
+    rows = FlattenRows(*perturbed);
   }
 
-  /// A session spec matching the salary attribute's noise calibration.
-  SessionSpec SalarySpec(std::size_t intervals = 24) const {
-    const data::FieldSpec& field =
-        original->schema().Field(synth::kSalary);
-    SessionSpec spec;
-    spec.lo = field.lo;
-    spec.hi = field.hi;
-    spec.intervals = intervals;
-    spec.noise = perturb::NoiseKind::kUniform;
-    spec.privacy_fraction = 1.0;
-    spec.confidence = 0.95;
+  /// A one-attribute session spec over the salary column, matching its
+  /// noise calibration.
+  DatasetSessionSpec SalarySpec(std::size_t intervals = 24) const {
+    DatasetSessionSpec spec;
+    spec.schema = original->schema();
+    AttributeSpec attr;
+    attr.column = synth::kSalary;
+    attr.intervals = intervals;
+    attr.noise = perturb::NoiseKind::kUniform;
+    attr.privacy_fraction = 1.0;
+    attr.confidence = 0.95;
+    spec.attributes.push_back(attr);
     spec.shard_size = 512;
     return spec;
+  }
+
+  /// Every perturbed record, schema-wide.
+  data::RowBatch AllRows() const {
+    return data::RowBatch(rows.data(), perturbed->NumRows(),
+                          perturbed->NumCols());
+  }
+
+  /// The independent batch reference for attribute `a` of `spec`:
+  /// BayesReconstructor::Fit over the raw perturbed column, with the noise
+  /// model the randomizer applied to it.
+  reconstruct::Reconstruction BatchFit(const DatasetSessionSpec& spec,
+                                       std::size_t a = 0) const {
+    const AttributeSpec& attr = spec.attributes[a];
+    const data::FieldSpec& field = spec.schema.Field(attr.column);
+    const reconstruct::Partition partition(field.lo, field.hi,
+                                           attr.intervals);
+    const reconstruct::BayesReconstructor reconstructor(
+        randomizer->ModelFor(attr.column), attr.reconstruction);
+    return reconstructor.Fit(perturbed->Column(attr.column), partition,
+                             nullptr, spec.shard_size);
   }
 
   std::optional<data::Dataset> original;
   std::optional<data::Dataset> perturbed;
   std::unique_ptr<perturb::Randomizer> randomizer;
+  std::vector<double> rows;  // perturbed, row-major
 };
 
 bool ReconstructionsIdentical(const reconstruct::Reconstruction& a,
@@ -229,20 +238,34 @@ bool ReconstructionsIdentical(const reconstruct::Reconstruction& a,
          a.sample_count == b.sample_count;
 }
 
-// The acceptance property: Ingest in 1 batch vs. many batches vs. batch
-// Fit produce identical masses, at 1, 2, and 8 threads (and with
-// no pool at all).
-TEST(ReconstructionSessionTest, IngestEquivalenceProperty) {
-  const StreamFixture fx;
-  const SessionSpec spec = fx.SalarySpec();
-  const std::vector<double>& column = fx.perturbed->Column(synth::kSalary);
-  const reconstruct::Partition partition(spec.lo, spec.hi, spec.intervals);
-  const reconstruct::BayesReconstructor reconstructor(
-      fx.randomizer->ModelFor(synth::kSalary), spec.reconstruction);
+bool MassesBytewiseEqual(const reconstruct::Reconstruction& a,
+                         const reconstruct::Reconstruction& b) {
+  return a.masses.size() == b.masses.size() &&
+         std::memcmp(a.masses.data(), b.masses.data(),
+                     a.masses.size() * sizeof(double)) == 0;
+}
 
-  // Batch reference: the engine's parallel fit, reference decomposition.
-  const reconstruct::Reconstruction batch =
-      reconstructor.Fit(column, partition, nullptr, spec.shard_size);
+/// Folds `rows` into `session` in uneven slices of 1, 4, 13, 40, ... rows.
+void IngestUneven(DatasetSession& session, const data::RowBatch& rows) {
+  std::size_t offset = 0, step = 1;
+  while (offset < rows.num_rows()) {
+    const std::size_t take = std::min(step, rows.num_rows() - offset);
+    ASSERT_TRUE(session.Ingest(rows.Slice(offset, take)).ok());
+    offset += take;
+    step = step * 3 + 1;  // uneven on purpose
+  }
+}
+
+// The acceptance property for a one-attribute session: Ingest in 1 batch
+// vs. many batches vs. batch Fit over the raw column produce identical
+// estimates, at 1, 2, and 8 threads (and with no pool at all).
+TEST(SingleAttributeSessionTest, IngestEquivalenceProperty) {
+  const StreamFixture fx;
+  const DatasetSessionSpec spec = fx.SalarySpec();
+  const data::RowBatch all_rows = fx.AllRows();
+
+  // Batch reference: Fit over the raw salary column.
+  const reconstruct::Reconstruction batch = fx.BatchFit(spec);
   EXPECT_GT(batch.iterations, 0u);
 
   for (std::size_t threads : {std::size_t{0}, std::size_t{1},
@@ -252,137 +275,141 @@ TEST(ReconstructionSessionTest, IngestEquivalenceProperty) {
     engine::ThreadPool* p = threads > 0 ? &*pool : nullptr;
 
     // One batch.
-    auto one = ReconstructionSession::Open(spec, p);
+    auto one = DatasetSession::Open(spec, p);
     ASSERT_TRUE(one.ok());
-    ASSERT_TRUE(one.value()->Ingest(column).ok());
-    const auto one_est = one.value()->Reconstruct();
+    ASSERT_TRUE(one.value()->Ingest(all_rows).ok());
+    const auto one_est = one.value()->ReconstructAll();
     ASSERT_TRUE(one_est.ok());
+    ASSERT_EQ(one_est.value().size(), 1u);
 
     // Many uneven batches.
-    auto many = ReconstructionSession::Open(spec, p);
+    auto many = DatasetSession::Open(spec, p);
     ASSERT_TRUE(many.ok());
-    std::size_t offset = 0, step = 1;
-    while (offset < column.size()) {
-      const std::size_t take = std::min(step, column.size() - offset);
-      ASSERT_TRUE(many.value()->Ingest(column.data() + offset, take).ok());
-      offset += take;
-      step = step * 3 + 1;  // 1, 4, 13, 40, ... uneven on purpose
-    }
-    EXPECT_EQ(many.value()->record_count(), column.size());
-    const auto many_est = many.value()->Reconstruct();
+    IngestUneven(*many.value(), all_rows);
+    EXPECT_EQ(many.value()->record_count(), all_rows.num_rows());
+    const auto many_est = many.value()->ReconstructAll();
     ASSERT_TRUE(many_est.ok());
+    ASSERT_EQ(many_est.value().size(), 1u);
 
-    EXPECT_TRUE(ReconstructionsIdentical(batch, one_est.value()))
+    EXPECT_TRUE(ReconstructionsIdentical(batch, one_est.value()[0]))
         << "one batch, threads " << threads;
-    EXPECT_TRUE(ReconstructionsIdentical(batch, many_est.value()))
+    EXPECT_TRUE(ReconstructionsIdentical(batch, many_est.value()[0]))
         << "many batches, threads " << threads;
-    ASSERT_EQ(many_est.value().masses.size(), batch.masses.size());
-    EXPECT_EQ(std::memcmp(many_est.value().masses.data(),
-                          batch.masses.data(),
-                          batch.masses.size() * sizeof(double)),
-              0)
-        << "threads " << threads;
+    EXPECT_TRUE(MassesBytewiseEqual(one_est.value()[0], batch))
+        << "one batch, threads " << threads;
+    EXPECT_TRUE(MassesBytewiseEqual(many_est.value()[0], batch))
+        << "many batches, threads " << threads;
   }
 }
 
-TEST(ReconstructionSessionTest, EmptySessionYieldsUniformPrior) {
+TEST(SingleAttributeSessionTest, EmptySessionYieldsUniformPrior) {
   const StreamFixture fx;
-  auto session = ReconstructionSession::Open(fx.SalarySpec(16));
+  auto session = DatasetSession::Open(fx.SalarySpec(16));
   ASSERT_TRUE(session.ok());
-  const auto estimate = session.value()->Reconstruct();
+  const auto estimate = session.value()->ReconstructAll();
   ASSERT_TRUE(estimate.ok());
-  ASSERT_EQ(estimate.value().masses.size(), 16u);
-  for (double m : estimate.value().masses) EXPECT_DOUBLE_EQ(m, 1.0 / 16.0);
-  EXPECT_EQ(estimate.value().sample_count, 0u);
+  ASSERT_EQ(estimate.value().size(), 1u);
+  ASSERT_EQ(estimate.value()[0].masses.size(), 16u);
+  for (double m : estimate.value()[0].masses) {
+    EXPECT_DOUBLE_EQ(m, 1.0 / 16.0);
+  }
+  EXPECT_EQ(estimate.value()[0].sample_count, 0u);
 }
 
-TEST(ReconstructionSessionTest, RejectsNonFiniteValues) {
+TEST(SingleAttributeSessionTest, RejectsNonFiniteValues) {
   const StreamFixture fx;
-  auto session = ReconstructionSession::Open(fx.SalarySpec());
+  const DatasetSessionSpec spec = fx.SalarySpec();
+  auto session = DatasetSession::Open(spec);
   ASSERT_TRUE(session.ok());
-  const std::vector<double> bad{1.0, std::nan(""), 2.0};
-  const Status s = session.value()->Ingest(bad);
+  const std::size_t cols = spec.schema.NumFields();
+  std::vector<double> rows(3 * cols, 0.0);
+  rows[0 * cols + synth::kSalary] = 1.0;
+  rows[1 * cols + synth::kSalary] = std::nan("");
+  rows[2 * cols + synth::kSalary] = 2.0;
+  const Status s =
+      session.value()->Ingest(data::RowBatch(rows.data(), 3, cols));
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(session.value()->record_count(), 0u);  // nothing folded
 }
 
-TEST(ReconstructionSessionTest, WarmStartRefreshConvergesFaster) {
+TEST(SingleAttributeSessionTest, WarmStartRefreshConvergesFaster) {
   const StreamFixture fx;
-  const std::vector<double>& column = fx.perturbed->Column(synth::kSalary);
-  auto session = ReconstructionSession::Open(fx.SalarySpec());
+  const DatasetSessionSpec spec = fx.SalarySpec();
+  const data::RowBatch all_rows = fx.AllRows();
+  auto session = DatasetSession::Open(spec);
   ASSERT_TRUE(session.ok());
 
-  const std::size_t half = column.size() / 2;
-  ASSERT_TRUE(session.value()->Ingest(column.data(), half).ok());
-  const auto first = session.value()->Reconstruct();
+  const std::size_t half = all_rows.num_rows() / 2;
+  ASSERT_TRUE(session.value()->Ingest(all_rows.Slice(0, half)).ok());
+  const auto first = session.value()->ReconstructAll();
   ASSERT_TRUE(first.ok());
-  EXPECT_TRUE(session.value()->has_estimate());
+  // The estimate is kept as the next refresh's warm start.
+  EXPECT_FALSE(session.value()->ExportState().last_masses[0].empty());
 
-  ASSERT_TRUE(
-      session.value()->Ingest(column.data() + half, column.size() - half)
-          .ok());
-  const auto refreshed = session.value()->Reconstruct();
+  ASSERT_TRUE(session.value()
+                  ->Ingest(all_rows.Slice(half, all_rows.num_rows() - half))
+                  .ok());
+  const auto refreshed = session.value()->ReconstructAll();
   ASSERT_TRUE(refreshed.ok());
+  const reconstruct::Reconstruction& warm = refreshed.value()[0];
 
   // Cold fit over the same full column, for comparison.
-  const SessionSpec spec = fx.SalarySpec();
-  const reconstruct::Partition partition(spec.lo, spec.hi, spec.intervals);
-  const reconstruct::BayesReconstructor reconstructor(
-      fx.randomizer->ModelFor(synth::kSalary), spec.reconstruction);
-  const reconstruct::Reconstruction cold =
-      reconstructor.Fit(column, partition, nullptr, spec.shard_size);
+  const reconstruct::Reconstruction cold = fx.BatchFit(spec);
 
   // The warm start begins near the answer: it must not iterate longer
   // than the cold fit, and must land on (essentially) the same estimate.
-  EXPECT_LE(refreshed.value().iterations, cold.iterations);
-  ASSERT_EQ(refreshed.value().masses.size(), cold.masses.size());
+  EXPECT_LE(warm.iterations, cold.iterations);
+  ASSERT_EQ(warm.masses.size(), cold.masses.size());
   for (std::size_t k = 0; k < cold.masses.size(); ++k) {
-    EXPECT_NEAR(refreshed.value().masses[k], cold.masses[k], 5e-3);
+    EXPECT_NEAR(warm.masses[k], cold.masses[k], 5e-3);
   }
 }
 
-TEST(ReconstructionSessionTest, ColdModeStaysByteIdenticalAcrossRefreshes) {
+TEST(SingleAttributeSessionTest, ColdModeStaysByteIdenticalAcrossRefreshes) {
   const StreamFixture fx;
-  SessionSpec spec = fx.SalarySpec();
+  DatasetSessionSpec spec = fx.SalarySpec();
   spec.warm_start = false;
-  const std::vector<double>& column = fx.perturbed->Column(synth::kSalary);
-  auto session = ReconstructionSession::Open(spec);
+  const data::RowBatch all_rows = fx.AllRows();
+  auto session = DatasetSession::Open(spec);
   ASSERT_TRUE(session.ok());
 
-  const reconstruct::Partition partition(spec.lo, spec.hi, spec.intervals);
-  const reconstruct::BayesReconstructor reconstructor(
-      fx.randomizer->ModelFor(synth::kSalary), spec.reconstruction);
-
-  const std::size_t half = column.size() / 2;
-  ASSERT_TRUE(session.value()->Ingest(column.data(), half).ok());
-  ASSERT_TRUE(session.value()->Reconstruct().ok());  // does not perturb later fits
-  ASSERT_TRUE(
-      session.value()->Ingest(column.data() + half, column.size() - half)
-          .ok());
-  const auto second = session.value()->Reconstruct();
+  const std::size_t half = all_rows.num_rows() / 2;
+  ASSERT_TRUE(session.value()->Ingest(all_rows.Slice(0, half)).ok());
+  // Does not perturb later fits.
+  ASSERT_TRUE(session.value()->ReconstructAll().ok());
+  ASSERT_TRUE(session.value()
+                  ->Ingest(all_rows.Slice(half, all_rows.num_rows() - half))
+                  .ok());
+  const auto second = session.value()->ReconstructAll();
   ASSERT_TRUE(second.ok());
 
-  const reconstruct::Reconstruction batch =
-      reconstructor.Fit(column, partition, nullptr, spec.shard_size);
-  EXPECT_TRUE(ReconstructionsIdentical(batch, second.value()));
+  EXPECT_TRUE(ReconstructionsIdentical(fx.BatchFit(spec), second.value()[0]));
 }
 
-TEST(ReconstructionSessionTest, NoNoiseSessionIsExactHistogram) {
-  SessionSpec spec;
-  spec.lo = 0.0;
-  spec.hi = 1.0;
-  spec.intervals = 4;
-  spec.noise = perturb::NoiseKind::kNone;
-  spec.privacy_fraction = 0.0;
-  auto session = ReconstructionSession::Open(spec);
+TEST(SingleAttributeSessionTest, NoNoiseSessionIsExactHistogram) {
+  DatasetSessionSpec spec;
+  data::FieldSpec field;
+  field.name = "x";
+  field.lo = 0.0;
+  field.hi = 1.0;
+  spec.schema = data::Schema({field});
+  AttributeSpec attr;
+  attr.column = 0;
+  attr.intervals = 4;
+  attr.noise = perturb::NoiseKind::kNone;
+  attr.privacy_fraction = 0.0;
+  spec.attributes.push_back(attr);
+  auto session = DatasetSession::Open(spec);
   ASSERT_TRUE(session.ok());
-  ASSERT_TRUE(
-      session.value()->Ingest({0.1, 0.1, 0.4, 0.6, 0.6, 0.6, 0.9, 0.9}).ok());
-  const auto estimate = session.value()->Reconstruct();
+  const std::vector<double> values{0.1, 0.1, 0.4, 0.6, 0.6, 0.6, 0.9, 0.9};
+  ASSERT_TRUE(session.value()
+                  ->Ingest(data::RowBatch(values.data(), values.size(), 1))
+                  .ok());
+  const auto estimate = session.value()->ReconstructAll();
   ASSERT_TRUE(estimate.ok());
   const std::vector<double> expected{0.25, 0.125, 0.375, 0.25};
-  EXPECT_EQ(estimate.value().masses, expected);
-  EXPECT_EQ(estimate.value().sample_count, 8u);
+  EXPECT_EQ(estimate.value()[0].masses, expected);
+  EXPECT_EQ(estimate.value()[0].sample_count, 8u);
 }
 
 // -------------------------------------------------------- dataset session
@@ -404,21 +431,17 @@ DatasetSessionSpec BenchmarkDatasetSpec(std::size_t num_attrs,
   return spec;
 }
 
-/// The StreamFixture's perturbed table flattened row-major (no labels).
-std::vector<double> FlattenRows(const data::Dataset& dataset) {
-  std::vector<double> rows(dataset.NumRows() * dataset.NumCols());
-  for (std::size_t c = 0; c < dataset.NumCols(); ++c) {
-    const std::vector<double>& column = dataset.Column(c);
-    for (std::size_t r = 0; r < dataset.NumRows(); ++r) {
-      rows[r * dataset.NumCols() + c] = column[r];
-    }
-  }
-  return rows;
-}
-
 TEST(DatasetSessionSpecValidationTest, RejectsBadSpecsWithStatusNotAbort) {
   DatasetSessionSpec no_attrs = BenchmarkDatasetSpec(0);
   EXPECT_EQ(no_attrs.Validate().code(), StatusCode::kInvalidArgument);
+
+  // An empty domain: a schema field with lo == hi.
+  DatasetSessionSpec bad_domain = BenchmarkDatasetSpec(1);
+  std::vector<data::FieldSpec> fields = bad_domain.schema.fields();
+  fields[0].lo = 5.0;
+  fields[0].hi = 5.0;
+  bad_domain.schema = data::Schema(fields);
+  EXPECT_EQ(bad_domain.Validate().code(), StatusCode::kInvalidArgument);
 
   DatasetSessionSpec bad_column = BenchmarkDatasetSpec(2);
   bad_column.attributes[1].column = 99;
@@ -437,31 +460,37 @@ TEST(DatasetSessionSpecValidationTest, RejectsBadSpecsWithStatusNotAbort) {
   bad_privacy.attributes[0].privacy_fraction = -1.0;
   EXPECT_EQ(bad_privacy.Validate().code(), StatusCode::kInvalidArgument);
 
-  // Streaming cannot honour the per-sample exact EM path (see the
-  // SessionSpec test of the same name).
+  // Streaming cannot honour the per-sample exact EM path: the session
+  // would silently diverge from Fit, so the spec is rejected.
   DatasetSessionSpec exact_path = BenchmarkDatasetSpec(1);
   exact_path.attributes[0].reconstruction.binned = false;
   EXPECT_EQ(exact_path.Validate().code(), StatusCode::kInvalidArgument);
 
   // Open surfaces the same status instead of crashing.
-  const auto session = DatasetSession::Open(bad_column);
-  EXPECT_FALSE(session.ok());
-  EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument);
+  for (const DatasetSessionSpec* bad : {&bad_column, &zero_intervals}) {
+    const auto session = DatasetSession::Open(*bad);
+    EXPECT_FALSE(session.ok());
+    EXPECT_EQ(session.status().code(), StatusCode::kInvalidArgument);
+  }
 
   EXPECT_TRUE(BenchmarkDatasetSpec(4).Validate().ok());
 }
 
 // The acceptance property: a dataset session ingesting record batches is
-// byte-identical to N independent per-attribute sessions ingesting the
-// same columns — at 0, 1, 2, and 8 threads, for an uneven batching.
+// byte-identical to N independent one-attribute sessions ingesting the
+// same records, and its first (cold) estimate of each attribute to Fit
+// over the raw column — at 0, 1, 2, and 8 threads, for an uneven batching.
 TEST(DatasetSessionTest, ReconstructAllMatchesIndependentSessions) {
   const StreamFixture fx;
   const std::size_t num_attrs = 4;
   const DatasetSessionSpec spec = BenchmarkDatasetSpec(num_attrs);
-  const std::vector<double> rows = FlattenRows(*fx.perturbed);
-  const std::size_t num_rows = fx.perturbed->NumRows();
-  const data::RowBatch all_rows(rows.data(), num_rows,
-                                fx.perturbed->NumCols());
+  const data::RowBatch all_rows = fx.AllRows();
+
+  // Batch reference per attribute: Fit over the raw column.
+  std::vector<reconstruct::Reconstruction> batch;
+  for (std::size_t a = 0; a < num_attrs; ++a) {
+    batch.push_back(fx.BatchFit(spec, a));
+  }
 
   for (std::size_t threads : {std::size_t{0}, std::size_t{1},
                               std::size_t{2}, std::size_t{8}}) {
@@ -472,40 +501,39 @@ TEST(DatasetSessionTest, ReconstructAllMatchesIndependentSessions) {
     // Dataset path: uneven record batches, one ingest pass each.
     auto dataset_session = DatasetSession::Open(spec, p);
     ASSERT_TRUE(dataset_session.ok());
-    std::size_t offset = 0, step = 1;
-    while (offset < num_rows) {
-      const std::size_t take = std::min(step, num_rows - offset);
-      ASSERT_TRUE(
-          dataset_session.value()->Ingest(all_rows.Slice(offset, take)).ok());
-      offset += take;
-      step = step * 3 + 1;
-    }
-    EXPECT_EQ(dataset_session.value()->record_count(), num_rows);
-    // Two refreshes: the second exercises the warm-started fan-out.
-    ASSERT_TRUE(dataset_session.value()->ReconstructAll().ok());
+    IngestUneven(*dataset_session.value(), all_rows);
+    EXPECT_EQ(dataset_session.value()->record_count(), all_rows.num_rows());
+    // Two refreshes: the first is cold, the second exercises the
+    // warm-started fan-out.
+    const auto cold = dataset_session.value()->ReconstructAll();
+    ASSERT_TRUE(cold.ok());
+    ASSERT_EQ(cold.value().size(), num_attrs);
     const auto estimates = dataset_session.value()->ReconstructAll();
     ASSERT_TRUE(estimates.ok());
     ASSERT_EQ(estimates.value().size(), num_attrs);
 
-    // Reference: independent per-attribute sessions over the columns,
-    // with the same double-refresh history.
     for (std::size_t a = 0; a < num_attrs; ++a) {
-      auto solo = ReconstructionSession::Open(spec.AttributeSession(a), p);
+      EXPECT_TRUE(ReconstructionsIdentical(batch[a], cold.value()[a]))
+          << "cold vs Fit, attribute " << a << ", threads " << threads;
+      EXPECT_TRUE(MassesBytewiseEqual(cold.value()[a], batch[a]))
+          << "cold vs Fit, attribute " << a << ", threads " << threads;
+
+      // Reference: a one-attribute session over the same records, in one
+      // batch, with the same double-refresh history.
+      DatasetSessionSpec solo_spec = spec;
+      solo_spec.attributes = {spec.attributes[a]};
+      auto solo = DatasetSession::Open(solo_spec, p);
       ASSERT_TRUE(solo.ok());
-      ASSERT_TRUE(solo.value()->Ingest(fx.perturbed->Column(a)).ok());
-      ASSERT_TRUE(solo.value()->Reconstruct().ok());
-      const auto independent = solo.value()->Reconstruct();
+      ASSERT_TRUE(solo.value()->Ingest(all_rows).ok());
+      ASSERT_TRUE(solo.value()->ReconstructAll().ok());
+      const auto independent = solo.value()->ReconstructAll();
       ASSERT_TRUE(independent.ok());
-      EXPECT_TRUE(ReconstructionsIdentical(independent.value(),
+      ASSERT_EQ(independent.value().size(), 1u);
+      EXPECT_TRUE(ReconstructionsIdentical(independent.value()[0],
                                            estimates.value()[a]))
           << "attribute " << a << ", threads " << threads;
-      ASSERT_EQ(estimates.value()[a].masses.size(),
-                independent.value().masses.size());
-      EXPECT_EQ(std::memcmp(estimates.value()[a].masses.data(),
-                            independent.value().masses.data(),
-                            independent.value().masses.size() *
-                                sizeof(double)),
-                0)
+      EXPECT_TRUE(MassesBytewiseEqual(estimates.value()[a],
+                                      independent.value()[0]))
           << "attribute " << a << ", threads " << threads;
     }
   }
@@ -967,39 +995,37 @@ TEST(ServiceTest, StreamingSessionDrivenByAsyncJobs) {
   auto service = Service::Create(options);
   ASSERT_TRUE(service.ok());
 
-  const SessionSpec spec = fx.SalarySpec();
-  auto opened = service.value()->OpenSession(spec);
+  const DatasetSessionSpec spec = fx.SalarySpec();
+  auto opened = DatasetSession::Open(spec, service.value()->pool());
   ASSERT_TRUE(opened.ok());
-  ReconstructionSession* session = opened.value().get();
-  const std::vector<double>& column = fx.perturbed->Column(synth::kSalary);
+  DatasetSession* session = opened.value().get();
+  const data::RowBatch all_rows = fx.AllRows();
 
   std::vector<JobHandle<bool>> ingests;
   constexpr std::size_t kBatch = 700;
-  for (std::size_t offset = 0; offset < column.size(); offset += kBatch) {
-    const std::size_t take = std::min(kBatch, column.size() - offset);
+  for (std::size_t offset = 0; offset < all_rows.num_rows();
+       offset += kBatch) {
+    const data::RowBatch slice = all_rows.Slice(
+        offset, std::min(kBatch, all_rows.num_rows() - offset));
     ingests.push_back(service.value()->Submit<bool>(
-        [session, &column, offset, take]() -> Result<bool> {
-          PPDM_RETURN_IF_ERROR(session->Ingest(column.data() + offset, take));
+        [session, slice]() -> Result<bool> {
+          PPDM_RETURN_IF_ERROR(session->Ingest(slice));
           return true;
         }));
   }
   for (auto& h : ingests) ASSERT_TRUE(h.Wait().ok());
-  EXPECT_EQ(session->record_count(), column.size());
+  EXPECT_EQ(session->record_count(), all_rows.num_rows());
 
-  JobHandle<reconstruct::Reconstruction> fit =
-      service.value()->Submit<reconstruct::Reconstruction>(
-          [session]() -> Result<reconstruct::Reconstruction> {
-            return session->Reconstruct();
+  JobHandle<std::vector<reconstruct::Reconstruction>> fit =
+      service.value()->Submit<std::vector<reconstruct::Reconstruction>>(
+          [session]() -> Result<std::vector<reconstruct::Reconstruction>> {
+            return session->ReconstructAll();
           });
   const auto streamed = fit.Wait();
   ASSERT_TRUE(streamed.ok());
+  ASSERT_EQ(streamed.value().size(), 1u);
 
-  const reconstruct::Partition partition(spec.lo, spec.hi, spec.intervals);
-  const reconstruct::BayesReconstructor reconstructor(
-      fx.randomizer->ModelFor(synth::kSalary), spec.reconstruction);
-  const reconstruct::Reconstruction batch =
-      reconstructor.Fit(column, partition, nullptr, spec.shard_size);
-  EXPECT_TRUE(ReconstructionsIdentical(batch, streamed.value()));
+  EXPECT_TRUE(ReconstructionsIdentical(fx.BatchFit(spec), streamed.value()[0]));
 }
 
 // ------------------------------------------- service admission control

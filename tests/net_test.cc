@@ -1,12 +1,12 @@
 // Tests for the network serving subsystem: the frame codec (every
 // malformed wire input — truncated at every prefix, bit-flipped, wrong
-// magic, future version, oversized body — is a Status, never an abort),
-// the token-bucket rate limiter under a fake clock, and the daemon
-// itself over loopback TCP: byte-identical to a direct DatasetSession at
-// every worker-thread count, resilient to hostile frames / shed requests
-// / injected store faults (each answers a protocol error while the
-// process keeps serving), and drain→restart→resume preserving every
-// tenant's state exactly.
+// magic, unsupported version, oversized body — is a Status, never an
+// abort), TCP_NODELAY on both ends of a connection, the token-bucket rate
+// limiter under a fake clock, and the daemon itself over loopback TCP:
+// byte-identical to a direct DatasetSession at every worker-thread count,
+// resilient to hostile frames / shed requests / injected store faults
+// (each answers a protocol error while the process keeps serving), and
+// drain→restart→resume preserving every tenant's state exactly.
 
 #include <algorithm>
 #include <chrono>
@@ -16,6 +16,10 @@
 #include <memory>
 #include <string>
 #include <vector>
+
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 
 #include <gtest/gtest.h>
 
@@ -27,6 +31,7 @@
 #include "net/frame.h"
 #include "net/rate_limiter.h"
 #include "net/server.h"
+#include "net/socket.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "perturb/randomizer.h"
@@ -124,15 +129,28 @@ TEST(FrameTest, RoundTripPreservesEveryField) {
 
   Result<Frame> frame = DecodeFrame(wire);
   ASSERT_TRUE(frame.ok()) << frame.status().ToString();
-  // Without a trace id the encoder stays on the compact v1 layout.
-  EXPECT_EQ(frame.value().header.version, 1u);
+  // Without a trace id the header carries a zero-length trace field and
+  // is exactly the fixed prefix.
+  EXPECT_EQ(frame.value().header.version, kProtocolVersion);
   EXPECT_EQ(frame.value().header.trace_id, 0u);
+  EXPECT_EQ(frame.value().header.header_size, kHeaderSize);
   EXPECT_EQ(frame.value().header.verb,
             static_cast<std::uint32_t>(Verb::kIngest));
   EXPECT_EQ(frame.value().header.request_id, 42u);
   EXPECT_EQ(frame.value().header.tenant, 7u);
   EXPECT_EQ(frame.value().header.ttl_ms, 1500u);
   EXPECT_EQ(frame.value().body, body);
+
+  // The streaming parser's incremental sizing converges on the fixed
+  // prefix in bounded steps.
+  std::string accum;
+  int steps = 0;
+  for (std::size_t needed = HeaderBytesNeeded(accum); needed > 0;
+       needed = HeaderBytesNeeded(accum)) {
+    ASSERT_LT(++steps, 8);
+    accum.append(wire, accum.size(), needed);
+  }
+  EXPECT_EQ(accum.size(), kHeaderSize);
 }
 
 TEST(FrameTest, EveryTruncationIsAStatusError) {
@@ -197,24 +215,50 @@ TEST(FrameTest, FutureVersionAndWrongMagicAreCleanErrors) {
   EXPECT_EQ(header.status().code(), StatusCode::kInvalidArgument);
 }
 
+// The retired version-1 layout (no trace-length word, 44-byte header) is
+// refused like any unsupported version, as soon as the version word
+// arrives — before any more header or body bytes are buffered.
+TEST(FrameTest, VersionOneHeaderIsRejectedBeforeBuffering) {
+  const std::string body = "0123456789abcdef";
+  store::Writer writer;
+  writer.PutU32(kFrameMagic);
+  writer.PutU32(1);  // version
+  writer.PutU32(static_cast<std::uint32_t>(Verb::kIngest));
+  writer.PutU64(42);  // request id
+  writer.PutU64(7);   // tenant
+  writer.PutU32(0);   // ttl_ms
+  writer.PutU64(body.size());
+  writer.PutU32(store::Crc32(body));
+  const std::string wire = writer.Take() + body;
+
+  const std::string_view version_prefix(wire.data(), 8);
+  EXPECT_EQ(HeaderBytesNeeded(version_prefix), 0u);
+  EXPECT_EQ(DecodeHeader(version_prefix, kDefaultMaxBodyBytes).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(DecodeHeader(wire, kDefaultMaxBodyBytes).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(DecodeFrame(wire).status().code(),
+            StatusCode::kFailedPrecondition);
+}
+
 TEST(FrameTest, TraceIdRidesV2FramesAndRoundTrips) {
   const std::string body = "traced payload";
   const std::uint64_t trace = 0x0123456789abcdefULL;
   const std::string wire =
       EncodeFrame(Verb::kIngest, /*request_id=*/5, /*tenant=*/2,
                   /*ttl_ms=*/0, body, trace);
-  ASSERT_EQ(wire.size(), kHeaderSize + 4 + kMaxTraceHexChars + body.size());
+  ASSERT_EQ(wire.size(), kHeaderSize + kMaxTraceHexChars + body.size());
 
   Result<Frame> frame = DecodeFrame(wire);
   ASSERT_TRUE(frame.ok()) << frame.status().ToString();
   EXPECT_EQ(frame.value().header.version, kProtocolVersion);
   EXPECT_EQ(frame.value().header.trace_id, trace);
   EXPECT_EQ(frame.value().header.header_size,
-            kHeaderSize + 4 + kMaxTraceHexChars);
+            kHeaderSize + kMaxTraceHexChars);
   EXPECT_EQ(frame.value().body, body);
 
   // The streaming parser's incremental sizing: starting from nothing,
-  // HeaderBytesNeeded converges on the full v2 header in bounded steps.
+  // HeaderBytesNeeded converges on the full header in bounded steps.
   std::string accum;
   int steps = 0;
   for (std::size_t needed = HeaderBytesNeeded(accum); needed > 0;
@@ -223,7 +267,7 @@ TEST(FrameTest, TraceIdRidesV2FramesAndRoundTrips) {
     accum.append(wire, accum.size(), needed);
   }
   EXPECT_EQ(accum.size(), frame.value().header.header_size);
-  // And every shorter prefix of the v2 header is still "wait for bytes".
+  // And every shorter prefix of the header is still "wait for bytes".
   for (std::size_t len = 0; len < accum.size(); ++len) {
     EXPECT_EQ(DecodeHeader(std::string_view(wire.data(), len),
                            kDefaultMaxBodyBytes)
@@ -255,7 +299,7 @@ TEST(FrameTest, HostileTraceIdsAreCleanStatusErrors) {
   ASSERT_FALSE(header.ok());
   EXPECT_EQ(header.status().code(), StatusCode::kInvalidArgument);
 
-  // An all-zero trace id claims v2 but carries no identity.
+  // An all-zero trace id claims a trace but carries no identity.
   std::string zero = good;
   for (std::size_t i = 36; i < 36 + kMaxTraceHexChars; ++i) zero[i] = '0';
   header = DecodeHeader(zero, kDefaultMaxBodyBytes);
@@ -279,6 +323,34 @@ TEST(FrameTest, ResponseEnvelopeRoundTripsStatusAndPayload) {
   Result<ResponseBody> bogus = DecodeResponseBody(writer.Take());
   ASSERT_FALSE(bogus.ok());
   EXPECT_EQ(bogus.status().code(), StatusCode::kInvalidArgument);
+}
+
+// ------------------------------------------------------------------ socket
+
+/// The TCP_NODELAY flag of a connected socket.
+int NoDelayOf(int fd) {
+  int value = 0;
+  socklen_t len = sizeof(value);
+  EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len), 0);
+  return value;
+}
+
+// Both ends of a connection disable Nagle through one helper: ConnectTcp
+// on the client side, SetNoDelay on an accepted socket as the daemon's
+// accept path does.
+TEST(SocketTest, LoopbackConnectionsSetNoDelayOnBothEnds) {
+  Result<Socket> listener = ListenTcp("127.0.0.1", 0, /*backlog=*/4);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  const Result<int> port = BoundPort(listener.value());
+  ASSERT_TRUE(port.ok());
+  Result<Socket> client = ConnectTcp("127.0.0.1", port.value());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  EXPECT_EQ(NoDelayOf(client.value().fd()), 1);
+
+  Socket accepted(::accept(listener.value().fd(), nullptr, nullptr));
+  ASSERT_TRUE(accepted.valid());
+  ASSERT_TRUE(SetNoDelay(accepted.fd()).ok());
+  EXPECT_EQ(NoDelayOf(accepted.fd()), 1);
 }
 
 // ------------------------------------------------------------ rate limiter

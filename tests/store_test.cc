@@ -1,7 +1,7 @@
 // Tests for the persistence subsystem: the endian-stable codec (every
 // malformed input — truncated, bit-flipped, wrong magic, future version —
 // comes back as a Status error, never a CHECK abort), byte-identical
-// snapshot/restore of ShardStats / AttributeState / DatasetSession, the
+// snapshot/restore of ShardStats / DatasetSession, the
 // directory-backed SnapshotStore (atomic publication, corruption-safe
 // reads), and the registry spill tier (eviction demotes, Lookup
 // transparently re-admits, equivalence with a never-evicted registry —
@@ -254,38 +254,6 @@ TEST(ShardStatsCodecTest, RejectsInconsistentCounts) {
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(AttributeStateCodecTest, RoundTripPreservesLayoutCountsAndMasses) {
-  api::AttributeState state(
-      0.0, 100.0, 10,
-      perturb::NoiseForPrivacy(perturb::NoiseKind::kUniform, 1.0, 100.0),
-      reconstruct::ReconstructionOptions{});
-  for (int i = 0; i < 500; ++i) {
-    state.stats().Add(state.BinOf(i % 140 - 20.0), 0);
-  }
-  state.set_last_masses(std::vector<double>(10, 0.1));
-
-  Writer writer;
-  EncodeAttributeState(state, &writer);
-  Reader reader(writer.bytes());
-  Result<api::AttributeState> decoded = DecodeAttributeState(&reader);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_TRUE(reader.AtEnd());
-
-  const api::AttributeState& restored = decoded.value();
-  EXPECT_EQ(restored.partition().lo(), state.partition().lo());
-  EXPECT_EQ(restored.partition().hi(), state.partition().hi());
-  EXPECT_EQ(restored.partition().intervals(), state.partition().intervals());
-  EXPECT_EQ(restored.noise_model().kind(), state.noise_model().kind());
-  EXPECT_EQ(restored.noise_model().scale(), state.noise_model().scale());
-  EXPECT_EQ(restored.num_bins(), state.num_bins());
-  EXPECT_EQ(restored.stats().counts(), state.stats().counts());
-  EXPECT_EQ(restored.last_masses(), state.last_masses());
-
-  Writer again;
-  EncodeAttributeState(restored, &again);
-  EXPECT_EQ(again.bytes(), writer.bytes());
-}
-
 // ------------------------------------------------- dataset-session codec
 
 // The acceptance property: snapshot a mid-stream session, restore it, and
@@ -385,23 +353,9 @@ TEST(DatasetSnapshotTest, EveryTruncationIsDetected) {
 // state is derived — the derivation would otherwise abort on an
 // astronomically large bin-layout allocation.
 TEST(DatasetSnapshotTest, HostileLayoutParametersAreRejectedNotFatal) {
-  // AttributeState path: a 1e18 noise scale over a unit domain.
-  Writer attr;
-  attr.PutDouble(0.0);
-  attr.PutDouble(1.0);
-  attr.PutU64(2);         // intervals
-  attr.PutU8(1);          // uniform
-  attr.PutDouble(1e18);   // scale -> ~4e18 padding bins
-  attr.PutU64(100);       // EM max_iterations
-  attr.PutDouble(1e-4);   // EM chi_square_epsilon
-  attr.PutU8(1);          // binned
-  Reader attr_reader(attr.bytes());
-  const auto state = DecodeAttributeState(&attr_reader);
-  EXPECT_EQ(state.status().code(), StatusCode::kInvalidArgument);
-
-  // Whole-session path: a spec the validation layer accepts (confidence
-  // inside (0,1)) whose derived noise explodes the padded layout, and
-  // one with an implausible interval count.
+  // A spec the validation layer accepts (confidence inside (0,1)) whose
+  // derived noise explodes the padded layout, and one with an implausible
+  // interval count.
   for (int variant = 0; variant < 2; ++variant) {
     api::DatasetSessionSpec spec = BenchmarkDatasetSpec(1);
     if (variant == 0) {
