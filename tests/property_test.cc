@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <numeric>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -170,6 +173,131 @@ TEST_P(AssignProperty, CountsAlwaysMatchApportionment) {
 INSTANTIATE_TEST_SUITE_P(Seeds, AssignProperty,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u,
                                            34u, 55u, 89u));
+
+// The reference the fast assignment must reproduce exactly: a full
+// argsort by (value, index), then the intervals dealt in rank order.
+std::vector<std::size_t> ReferenceAssign(const std::vector<double>& values,
+                                         const std::vector<double>& masses) {
+  const std::size_t n = values.size();
+  std::vector<std::size_t> assignment(n, 0);
+  if (n == 0) return assignment;
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (values[a] != values[b]) return values[a] < values[b];
+    return a < b;
+  });
+  const std::vector<std::size_t> counts =
+      reconstruct::ApportionCounts(masses, n);
+  std::size_t interval = 0;
+  std::size_t used_in_interval = 0;
+  for (std::size_t rank = 0; rank < n; ++rank) {
+    while (interval + 1 < counts.size() &&
+           used_in_interval >= counts[interval]) {
+      ++interval;
+      used_in_interval = 0;
+    }
+    assignment[order[rank]] = interval;
+    ++used_in_interval;
+  }
+  return assignment;
+}
+
+// One seeded case: a value shape (ties, signed zeros, infinities, a range
+// whose width overflows, constants, plain noise), a size from empty to a
+// few thousand, and masses that may hold zeros or a single interval.
+void DrawAssignCase(Rng* rng, std::vector<double>* values,
+                    std::vector<double>* masses) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::int64_t size_kind = rng->UniformInt(0, 9);
+  std::size_t n = 0;
+  if (size_kind == 0) {
+    n = static_cast<std::size_t>(rng->UniformInt(0, 1));
+  } else if (size_kind <= 2) {
+    n = static_cast<std::size_t>(rng->UniformInt(2, 12));
+  } else if (size_kind <= 8) {
+    n = static_cast<std::size_t>(rng->UniformInt(13, 600));
+  } else {
+    n = static_cast<std::size_t>(rng->UniformInt(601, 5000));
+  }
+  const std::int64_t shape = rng->UniformInt(0, 6);
+  values->assign(n, 0.0);
+  for (double& v : *values) {
+    switch (shape) {
+      case 0:  // continuous
+        v = rng->Gaussian(3.0, 10.0);
+        break;
+      case 1:  // heavy ties on a few levels
+        v = static_cast<double>(rng->UniformInt(-3, 3)) * 0.5;
+        break;
+      case 2:  // signed zeros among ties
+        v = rng->Bernoulli(0.5) ? (rng->Bernoulli(0.5) ? -0.0 : 0.0)
+                                : static_cast<double>(rng->UniformInt(-2, 2));
+        break;
+      case 3:  // infinities at either end
+        v = rng->Bernoulli(0.1) ? (rng->Bernoulli(0.5) ? -kInf : kInf)
+                                : rng->Gaussian();
+        break;
+      case 4:  // a range whose width overflows a double
+        v = rng->Bernoulli(0.1) ? (rng->Bernoulli(0.5) ? -1e308 : 1e308)
+                                : rng->Gaussian();
+        break;
+      case 5:  // all equal
+        v = 4.25;
+        break;
+      default:  // a dense cluster plus far outliers
+        v = rng->Bernoulli(0.02) ? rng->Gaussian(0.0, 1e6)
+                                 : rng->UniformReal(0.0, 1e-3);
+        break;
+    }
+  }
+  const std::int64_t mass_kind = rng->UniformInt(0, 3);
+  const std::size_t bins =
+      mass_kind == 0 ? 1 : static_cast<std::size_t>(rng->UniformInt(2, 40));
+  masses->assign(bins, 0.0);
+  for (double& m : *masses) {
+    m = (mass_kind == 1 && rng->Bernoulli(0.4)) ? 0.0 : rng->UniformDouble();
+  }
+  (*masses)[static_cast<std::size_t>(
+      rng->UniformInt(0, static_cast<std::int64_t>(bins) - 1))] += 0.5;
+}
+
+TEST(AssignReference, MatchesArgsortAndDealOverSeededCases) {
+  Rng rng(20260417);
+  std::vector<double> values, masses;
+  for (int c = 0; c < 3000; ++c) {
+    DrawAssignCase(&rng, &values, &masses);
+    ASSERT_EQ(reconstruct::AssignByOrderStatistics(values, masses),
+              ReferenceAssign(values, masses))
+        << "case " << c << ": n " << values.size() << ", K "
+        << masses.size();
+  }
+}
+
+TEST(AssignReference, EdgeShapes) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<double>> shapes = {
+      {},
+      {1.0},
+      {-0.0, 0.0, -0.0, 0.0, 0.0, -0.0},
+      {kInf, -kInf, 0.0, kInf, -kInf},
+      {-1e308, 1e308, 0.0, -1e308, 1e308, 5.0, -5.0},
+      {-kInf, -kInf, -kInf},
+      {kInf, 1.0},
+      {2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0},
+      {std::numeric_limits<double>::max(), std::numeric_limits<double>::lowest(),
+       std::numeric_limits<double>::denorm_min(), -0.0}};
+  const std::vector<std::vector<double>> mass_sets = {
+      {1.0}, {0.0, 1.0}, {1.0, 0.0, 0.0, 2.0}, {0.2, 0.3, 0.5},
+      {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0}};
+  for (const auto& values : shapes) {
+    for (const auto& masses : mass_sets) {
+      EXPECT_EQ(reconstruct::AssignByOrderStatistics(values, masses),
+                ReferenceAssign(values, masses))
+          << "n " << values.size() << ", K " << masses.size();
+    }
+  }
+}
 
 // ------------------------------------------------ information inequalities
 

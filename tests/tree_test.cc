@@ -2,10 +2,15 @@
 // pruning, the tree model itself, and the five training modes.
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/metrics.h"
+#include "engine/thread_pool.h"
 #include "perturb/randomizer.h"
 #include "synth/generator.h"
 #include "tree/decision_tree.h"
@@ -391,6 +396,109 @@ TEST(TrainerEdgeTest, TinyDatasetDoesNotCrash) {
   const DecisionTree t = TrainDecisionTree(d, TrainingMode::kOriginal, {});
   EXPECT_GE(t.NumNodes(), 1u);
 }
+
+
+// ------------------------------------------------------------ Golden trees
+
+// FNV-1a over every field of every node: two trees digest alike only when
+// they are identical node for node, threshold bits included.
+std::uint64_t TreeDigest(const DecisionTree& tree) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  mix(tree.nodes().size());
+  for (const Node& node : tree.nodes()) {
+    std::uint64_t threshold_bits = 0;
+    std::memcpy(&threshold_bits, &node.threshold, sizeof threshold_bits);
+    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(node.attribute)));
+    mix(threshold_bits);
+    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(node.left)));
+    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(node.right)));
+    mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(node.label)));
+    mix(node.num_records);
+  }
+  return h;
+}
+
+struct GoldenCase {
+  synth::Function function;
+  perturb::NoiseKind noise;
+  // One digest per mode, in kModes order.
+  std::uint64_t digests[5];
+};
+
+constexpr TrainingMode kModes[] = {
+    TrainingMode::kOriginal, TrainingMode::kRandomized, TrainingMode::kGlobal,
+    TrainingMode::kByClass, TrainingMode::kLocal};
+
+class GoldenTree : public ::testing::TestWithParam<GoldenCase> {};
+
+// Every mode's tree on fixed inputs is pinned to digests of the reference
+// trainer, and must come out the same at every pool size: a faster trainer
+// may change how trees are built, never which tree is built.
+TEST_P(GoldenTree, EveryModeMatchesPinnedDigestAtEveryPoolSize) {
+  const GoldenCase& golden = GetParam();
+  synth::GeneratorOptions gen;
+  gen.num_records = 12000;
+  gen.function = golden.function;
+  gen.seed = 7;
+  const data::Dataset train = synth::Generate(gen);
+  perturb::RandomizerOptions noise;
+  noise.kind = golden.noise;
+  noise.privacy_fraction = 1.0;
+  noise.seed = 11;
+  const perturb::Randomizer rz(train.schema(), noise);
+  const data::Dataset perturbed = rz.Perturb(train);
+
+  engine::ThreadPool one(1), two(2), eight(8);
+  engine::ThreadPool* const pools[] = {nullptr, &one, &two, &eight};
+  for (std::size_t m = 0; m < 5; ++m) {
+    const TrainingMode mode = kModes[m];
+    const bool original = mode == TrainingMode::kOriginal;
+    const bool uses_noise = ModeUsesReconstruction(mode);
+    for (engine::ThreadPool* pool : pools) {
+      const DecisionTree tree =
+          TrainDecisionTree(original ? train : perturbed, mode, {},
+                            uses_noise ? &rz : nullptr, pool);
+      const std::uint64_t digest = TreeDigest(tree);
+      EXPECT_EQ(digest, golden.digests[m])
+          << TrainingModeName(mode) << " pool "
+          << (pool == nullptr ? 0 : pool->size()) << ": digest 0x" << std::hex
+          << digest;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Functions, GoldenTree,
+    ::testing::Values(
+        GoldenCase{synth::Function::kF2, perturb::NoiseKind::kUniform,
+                   {0xa9235d4076adbdd8ULL, 0xf8104805883f006dULL,
+                    0x6772ed513fc63027ULL, 0x27c7b59266d74edbULL,
+                    0x3fa8cf153ed4b8a2ULL}},
+        GoldenCase{synth::Function::kF2, perturb::NoiseKind::kGaussian,
+                   {0xa9235d4076adbdd8ULL, 0xa94205dd1c93eac7ULL,
+                    0x7a5b0208e911aac8ULL, 0x50c2ab78ef6f773bULL,
+                    0x36ede9115d4d60cbULL}},
+        GoldenCase{synth::Function::kF5, perturb::NoiseKind::kUniform,
+                   {0xbb00608711377a39ULL, 0xe4d440d80dfdd8daULL,
+                    0xea49f9f5e5e95f13ULL, 0x150ffa84fbd8d843ULL,
+                    0xd30c5f98156e4bd6ULL}},
+        GoldenCase{synth::Function::kF5, perturb::NoiseKind::kGaussian,
+                   {0xbb00608711377a39ULL, 0xfe138f6fd492de9aULL,
+                    0xcf12023c835c08c4ULL, 0x14f84ca69fa21f34ULL,
+                    0xebbcba0d17b0cfa0ULL}}),
+    [](const ::testing::TestParamInfo<GoldenCase>& info) {
+      return std::string(info.param.function == synth::Function::kF2
+                             ? "Fn2"
+                             : "Fn5") +
+             (info.param.noise == perturb::NoiseKind::kUniform ? "Uniform"
+                                                               : "Gaussian");
+    });
 
 }  // namespace
 }  // namespace ppdm::tree
