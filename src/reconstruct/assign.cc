@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 
 #include "common/check.h"
@@ -49,27 +50,89 @@ std::vector<std::size_t> AssignByOrderStatistics(
   const std::size_t n = perturbed_values.size();
   std::vector<std::size_t> assignment(n, 0);
   if (n == 0) return assignment;
+  PPDM_CHECK_LE(n, std::size_t{0x7fffffff});
 
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    if (perturbed_values[a] != perturbed_values[b]) {
-      return perturbed_values[a] < perturbed_values[b];
-    }
-    return a < b;
-  });
+  // Rank r goes to the first interval whose cumulative count exceeds r.
+  std::vector<std::size_t> cumulative = ApportionCounts(masses, n);
+  std::partial_sum(cumulative.begin(), cumulative.end(), cumulative.begin());
+  const auto interval_of_rank = [&cumulative](std::size_t rank,
+                                              std::size_t from) {
+    while (cumulative[from] <= rank) ++from;
+    return from;
+  };
 
-  const std::vector<std::size_t> counts = ApportionCounts(masses, n);
-  std::size_t interval = 0;
-  std::size_t used_in_interval = 0;
-  for (std::size_t rank = 0; rank < n; ++rank) {
-    while (interval + 1 < counts.size() &&
-           used_in_interval >= counts[interval]) {
-      ++interval;
-      used_in_interval = 0;
+  // Bucket the values by a monotone map of [lo, hi] onto [0, buckets), so
+  // bucket order agrees with value order and equal values share a bucket.
+  // When the map is undefined (infinite ends, or a width that overflows or
+  // is zero) everything falls into one bucket, which is then fully sorted.
+  const auto [lo_it, hi_it] =
+      std::minmax_element(perturbed_values.begin(), perturbed_values.end());
+  const double lo = *lo_it;
+  const double width = *hi_it - lo;
+  double scale = static_cast<double>(n) / width;
+  const bool mapped = std::isfinite(lo) && std::isfinite(*hi_it) &&
+                      std::isfinite(width) && std::isfinite(scale);
+  const std::size_t buckets = mapped ? n : 1;
+  if (!mapped) scale = 0.0;
+  const auto top = static_cast<double>(buckets - 1);
+  std::vector<std::uint32_t> bucket_of(n);
+  std::vector<std::uint32_t> code(buckets, 0);  // first the bucket sizes
+  for (std::size_t i = 0; i < n; ++i) {
+    const double x = (perturbed_values[i] - lo) * scale;
+    bucket_of[i] = static_cast<std::uint32_t>(x < top ? x : top);
+    ++code[bucket_of[i]];
+  }
+
+  // Walk the buckets in rank order. A bucket whose ranks all fall in one
+  // interval gets that interval as its code; one that straddles a boundary
+  // is flagged for an exact sort and gets a slot in `members`.
+  struct Straddle {
+    std::size_t first_rank, size, offset, filled;
+  };
+  constexpr std::uint32_t kStraddles = 0x80000000u;
+  std::vector<Straddle> straddles;
+  std::size_t first_rank = 0, interval = 0, members_size = 0;
+  for (std::size_t b = 0; b < buckets; ++b) {
+    const std::size_t size = code[b];
+    if (size == 0) continue;
+    interval = interval_of_rank(first_rank, interval);
+    if (first_rank + size <= cumulative[interval]) {
+      code[b] = static_cast<std::uint32_t>(interval);
+    } else {
+      code[b] = kStraddles | static_cast<std::uint32_t>(straddles.size());
+      straddles.push_back({first_rank, size, members_size, 0});
+      members_size += size;
     }
-    assignment[order[rank]] = interval;
-    ++used_in_interval;
+    first_rank += size;
+  }
+
+  std::vector<std::uint32_t> members(members_size);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t c = code[bucket_of[i]];
+    if ((c & kStraddles) == 0) {
+      assignment[i] = c;
+    } else {
+      Straddle& s = straddles[c & ~kStraddles];
+      members[s.offset + s.filled++] = static_cast<std::uint32_t>(i);
+    }
+  }
+
+  // Inside a straddling bucket, rank by (value, index) exactly as a full
+  // sort would; -0.0 and +0.0 compare equal and fall back to the index.
+  for (const Straddle& s : straddles) {
+    const auto begin = members.begin() + static_cast<std::ptrdiff_t>(s.offset);
+    std::sort(begin, begin + static_cast<std::ptrdiff_t>(s.size),
+              [&](std::uint32_t a, std::uint32_t b) {
+                if (perturbed_values[a] != perturbed_values[b]) {
+                  return perturbed_values[a] < perturbed_values[b];
+                }
+                return a < b;
+              });
+    std::size_t k = 0;
+    for (std::size_t j = 0; j < s.size; ++j) {
+      k = interval_of_rank(s.first_rank + j, k);
+      assignment[members[s.offset + j]] = k;
+    }
   }
   return assignment;
 }

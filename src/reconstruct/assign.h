@@ -21,7 +21,14 @@ std::vector<std::size_t> ApportionCounts(const std::vector<double>& masses,
 /// Assigns each record (identified by position in `perturbed_values`) an
 /// interval index in [0, masses.size()): records are ranked by perturbed
 /// value and intervals filled in order with their apportioned counts.
-/// Ties are broken by original position, making the result deterministic.
+/// Ties are broken by original position (-0.0 and +0.0 tie), making the
+/// result deterministic.
+///
+/// The result is that rank-then-deal, computed without a full sort: the
+/// values are bucketed by a monotone map of [min, max], and only the few
+/// buckets whose ranks straddle an interval boundary are sorted. When the
+/// map is undefined (an infinite value, or a range whose width overflows
+/// or is zero) every record is sorted instead.
 std::vector<std::size_t> AssignByOrderStatistics(
     const std::vector<double>& perturbed_values,
     const std::vector<double>& masses);

@@ -12,6 +12,16 @@
 //                associate each class's records by order statistics.
 //   kLocal       like ByClass, but reconstruction is repeated at every
 //                tree node from the records in that node.
+//
+// Training keeps each record's interval codes row-major ([row][col], one
+// uint16 per attribute) beside a per-row label. A node's split search
+// reads its integer class counts per (attribute, class, interval), built
+// for every attribute in one pass over the node's records. Only the
+// smaller child of a split is counted; the larger child's counts are the
+// parent's minus the smaller's (the SPRINT classifier the paper builds on,
+// with LightGBM's histogram subtraction). Records are routed by the same
+// codes, so every record at a node has codes inside the node's interval
+// bounds, and a table sliced to those bounds needs no clamping.
 
 #ifndef PPDM_TREE_TRAINER_H_
 #define PPDM_TREE_TRAINER_H_
@@ -104,10 +114,11 @@ struct TreeOptions {
 ///
 /// `pool` parallelizes the root-time per-attribute reconstruction fan-out
 /// (the dominant cost of the reconstruction modes) and, for kLocal, the
-/// per-node split search: every node large enough to re-reconstruct fans
-/// its per-attribute counts tables out too. Each unit of work is
-/// independent and internally sequential, so the trained tree is
-/// bit-identical for every pool size (nullptr = inline).
+/// per-node split search: every node large enough to re-reconstruct splits
+/// its records by class once and fans its per-attribute reconstructions
+/// out over those shared lists. Each unit of work is independent and
+/// internally sequential, so the trained tree is bit-identical for every
+/// pool size (nullptr = inline).
 DecisionTree TrainDecisionTree(const data::Dataset& dataset,
                                TrainingMode mode, const TreeOptions& options,
                                const perturb::Randomizer* randomizer =

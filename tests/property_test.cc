@@ -285,7 +285,8 @@ TEST(AssignReference, EdgeShapes) {
       {-kInf, -kInf, -kInf},
       {kInf, 1.0},
       {2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0},
-      {std::numeric_limits<double>::max(), std::numeric_limits<double>::lowest(),
+      {std::numeric_limits<double>::max(),
+       std::numeric_limits<double>::lowest(),
        std::numeric_limits<double>::denorm_min(), -0.0}};
   const std::vector<std::vector<double>> mass_sets = {
       {1.0}, {0.0, 1.0}, {1.0, 0.0, 0.0, 2.0}, {0.2, 0.3, 0.5},
